@@ -1,7 +1,7 @@
 // Shared helpers for the experiment harnesses. The canonical scenario
 // builders live in the library (runner/builders.h) so the campaign runner,
 // the benches and the examples execute identical scenario code; this header
-// only re-exports them plus the table-printing glue the bench mains use.
+// only re-exports them plus the sweep glue the figure bench mains use.
 
 #ifndef WLANSIM_BENCH_BENCH_UTIL_H_
 #define WLANSIM_BENCH_BENCH_UTIL_H_
@@ -10,38 +10,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "bench/perf_harness.h"
 #include "net/network.h"
-#include "rate/arf.h"
-#include "rate/minstrel.h"
-#include "rate/onoe.h"
-#include "rate/sample_rate.h"
 #include "runner/builders.h"
 #include "runner/sweep.h"
 #include "stats/table.h"
 
 namespace wlansim {
-
-// Creates the requested rate controller by name; nullptr for "fixed".
-inline std::unique_ptr<RateController> MakeController(const std::string& name,
-                                                      PhyStandard standard, Rng rng) {
-  return MakeRateController(name, standard, rng);
-}
-
-inline void PrintTable(const std::string& title, const Table& table, int argc, char** argv) {
-  bool csv = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--csv") {
-      csv = true;
-    }
-  }
-  std::printf("=== %s ===\n", title.c_str());
-  std::fputs(csv ? table.ToCsv().c_str() : table.ToString().c_str(), stdout);
-  std::printf("\n");
-}
 
 // --- Helpers for the sweep-engine figure benches (f1/f4/f11) -----------------
 

@@ -14,6 +14,7 @@ Packet::Buf* Packet::NewBuf(size_t capacity, bool zero) {
   Buf* buf = static_cast<Buf*>(raw);
   buf->refs = 1;
   buf->capacity = static_cast<uint32_t>(capacity);
+  ClearFcsMemo(buf);
   if (zero && capacity > 0) {
     std::memset(DataOf(buf), 0, capacity);
   }
@@ -69,7 +70,7 @@ Packet::Buf* Packet::EmptyBuf() {
   // frees it. A move must genuinely steal the buffer — leaving the source
   // co-owning it would make the destination look shared and trigger a
   // phantom copy-on-write fault on its next mutation.
-  thread_local Buf empty{/*refs=*/1, /*capacity=*/0};
+  thread_local Buf empty{/*refs=*/1, /*capacity=*/0, /*fcs_head=*/0, /*fcs_tail=*/0};
   ++empty.refs;
   return &empty;
 }
@@ -124,6 +125,7 @@ void Packet::Reserve(size_t need_head, size_t need_tail) {
 
 std::span<uint8_t> Packet::mutable_bytes() {
   Reserve(head_, buf_->capacity - tail_);  // detach-in-place when shared
+  ClearFcsMemo(buf_);                      // the caller may write
   return {data() + head_, size()};
 }
 
@@ -131,6 +133,7 @@ void Packet::AddHeader(std::span<const uint8_t> header) {
   if (buf_->refs > 1 || head_ < header.size()) {
     Reserve(header.size() + kDefaultHeadroom, buf_->capacity - tail_);
   }
+  ClearFcsMemo(buf_);
   head_ -= static_cast<uint32_t>(header.size());
   std::memcpy(data() + head_, header.data(), header.size());
 }
@@ -144,6 +147,7 @@ void Packet::AddTrailer(std::span<const uint8_t> trailer) {
   if (buf_->refs > 1 || buf_->capacity - tail_ < trailer.size()) {
     Reserve(head_, trailer.size() + kDefaultHeadroom);
   }
+  ClearFcsMemo(buf_);
   std::memcpy(data() + tail_, trailer.data(), trailer.size());
   tail_ += static_cast<uint32_t>(trailer.size());
 }

@@ -15,6 +15,15 @@
 // offsets and therefore never detach: the receive-side MPDU strip stays
 // zero-copy even on a shared buffer.
 //
+// FCS memo: the buffer header remembers one [head, tail) window whose
+// frame check sequence has passed (ParseMpdu records it), so the other
+// receivers of a shared transmission skip re-hashing the same bytes. A
+// shared buffer is immutable, so the verdict stays true for every view of
+// that window. Writes to an exclusive buffer happen in place, so
+// mutable_bytes / AddHeader / AddTrailer clear the memo; a fresh buffer
+// (construction, SetBytes, a copy-on-write detach or growth) starts with
+// none.
+//
 // The refcount is intentionally non-atomic: a Packet never crosses thread
 // boundaries (each campaign replication owns its Simulator, Network and
 // every packet inside them), matching the threading model of the rest of
@@ -94,6 +103,21 @@ class Packet {
   PacketMeta& meta() { return meta_; }
   const PacketMeta& meta() const { return meta_; }
 
+  // --- FCS memo ---------------------------------------------------------------
+
+  // True when this view's window was marked verified on its buffer and no
+  // write has touched the buffer since.
+  bool FcsVerified() const {
+    return buf_->fcs_tail != 0 && buf_->fcs_head == head_ && buf_->fcs_tail == tail_;
+  }
+
+  // Records that this view's window passed the FCS check. Marks the shared
+  // buffer, so sibling views of the same window see it too.
+  void MarkFcsVerified() {
+    buf_->fcs_head = head_;
+    buf_->fcs_tail = tail_;
+  }
+
   // --- CoW introspection (tests and hot-path counters) ----------------------
 
   // True when both packets view the same underlying buffer.
@@ -112,11 +136,19 @@ class Packet {
   static constexpr size_t kDefaultHeadroom = 64;
 
   // Intrusively refcounted buffer header; the bytes are co-allocated
-  // immediately after it (one allocation per buffer).
+  // immediately after it (one allocation per buffer). [fcs_head, fcs_tail)
+  // is the FCS memo; fcs_tail == 0 means none.
   struct Buf {
     uint32_t refs;
     uint32_t capacity;
+    uint32_t fcs_head;
+    uint32_t fcs_tail;
   };
+
+  static void ClearFcsMemo(Buf* buf) {
+    buf->fcs_head = 0;
+    buf->fcs_tail = 0;
+  }
 
   static Buf* NewBuf(size_t capacity, bool zero);
   static Buf* EmptyBuf();

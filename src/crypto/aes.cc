@@ -62,58 +62,72 @@ constexpr uint8_t Xtime(uint8_t a) {
   return static_cast<uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1B : 0x00));
 }
 
-void SubBytes(uint8_t state[16]) {
-  for (int i = 0; i < 16; ++i) {
-    state[i] = kSbox[state[i]];
+// The state is four little-endian column words: byte r of word c is row r,
+// column c (FIPS-197's column-major state[4*c + r]).
+//
+// kTe[r][x] is the MixColumns image of a column whose only non-zero byte is
+// SubBytes(x) in row r, so one full round of SubBytes + ShiftRows +
+// MixColumns is four lookups and three xors per output column.
+using TTables = std::array<std::array<uint32_t, 256>, 4>;
+
+constexpr uint32_t Rotl(uint32_t w, int bits) { return (w << bits) | (w >> (32 - bits)); }
+
+constexpr TTables MakeTTables() {
+  TTables te{};
+  for (int x = 0; x < 256; ++x) {
+    const uint8_t s = kSbox[static_cast<size_t>(x)];
+    const uint8_t s2 = Xtime(s);
+    const uint8_t s3 = static_cast<uint8_t>(s2 ^ s);
+    // Rows (2s, s, s, 3s): the MixColumns column for row 0.
+    const uint32_t w = static_cast<uint32_t>(s2) | (static_cast<uint32_t>(s) << 8) |
+                       (static_cast<uint32_t>(s) << 16) | (static_cast<uint32_t>(s3) << 24);
+    te[0][static_cast<size_t>(x)] = w;
+    te[1][static_cast<size_t>(x)] = Rotl(w, 8);
+    te[2][static_cast<size_t>(x)] = Rotl(w, 16);
+    te[3][static_cast<size_t>(x)] = Rotl(w, 24);
   }
+  return te;
 }
 
-// State is column-major: state[4*c + r] is row r, column c.
-void ShiftRows(uint8_t state[16]) {
-  uint8_t t;
-  // Row 1: shift left by 1.
-  t = state[1];
-  state[1] = state[5];
-  state[5] = state[9];
-  state[9] = state[13];
-  state[13] = t;
-  // Row 2: shift left by 2.
-  std::swap(state[2], state[10]);
-  std::swap(state[6], state[14]);
-  // Row 3: shift left by 3 (== right by 1).
-  t = state[15];
-  state[15] = state[11];
-  state[11] = state[7];
-  state[7] = state[3];
-  state[3] = t;
+constexpr TTables kTe = MakeTTables();
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
-void MixColumns(uint8_t state[16]) {
-  for (int c = 0; c < 4; ++c) {
-    uint8_t* col = state + 4 * c;
-    const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    const uint8_t all = a0 ^ a1 ^ a2 ^ a3;
-    col[0] = static_cast<uint8_t>(a0 ^ all ^ Xtime(a0 ^ a1));
-    col[1] = static_cast<uint8_t>(a1 ^ all ^ Xtime(a1 ^ a2));
-    col[2] = static_cast<uint8_t>(a2 ^ all ^ Xtime(a2 ^ a3));
-    col[3] = static_cast<uint8_t>(a3 ^ all ^ Xtime(a3 ^ a0));
-  }
+void StoreLe32(uint32_t w, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(w);
+  p[1] = static_cast<uint8_t>(w >> 8);
+  p[2] = static_cast<uint8_t>(w >> 16);
+  p[3] = static_cast<uint8_t>(w >> 24);
 }
 
-void AddRoundKey(uint8_t state[16], const uint8_t* rk) {
-  for (int i = 0; i < 16; ++i) {
-    state[i] ^= rk[i];
-  }
+// Output column c of a full round. ShiftRows moves row r of column c + r
+// into column c.
+uint32_t RoundColumn(uint32_t a, uint32_t b, uint32_t c, uint32_t d, uint32_t rk) {
+  return kTe[0][a & 0xFF] ^ kTe[1][(b >> 8) & 0xFF] ^ kTe[2][(c >> 16) & 0xFF] ^ kTe[3][d >> 24] ^
+         rk;
+}
+
+// Output column of the final round: SubBytes + ShiftRows, no MixColumns.
+uint32_t FinalColumn(uint32_t a, uint32_t b, uint32_t c, uint32_t d, uint32_t rk) {
+  return (static_cast<uint32_t>(kSbox[a & 0xFF]) |
+          (static_cast<uint32_t>(kSbox[(b >> 8) & 0xFF]) << 8) |
+          (static_cast<uint32_t>(kSbox[(c >> 16) & 0xFF]) << 16) |
+          (static_cast<uint32_t>(kSbox[d >> 24]) << 24)) ^
+         rk;
 }
 
 }  // namespace
 
 Aes128::Aes128(std::span<const uint8_t, kKeySize> key) {
-  std::memcpy(round_keys_.data(), key.data(), kKeySize);
+  uint8_t bytes[176];
+  std::memcpy(bytes, key.data(), kKeySize);
   uint8_t rcon = 0x01;
   for (int i = 16; i < 176; i += 4) {
     uint8_t temp[4];
-    std::memcpy(temp, round_keys_.data() + i - 4, 4);
+    std::memcpy(temp, bytes + i - 4, 4);
     if (i % 16 == 0) {
       // RotWord + SubWord + Rcon.
       const uint8_t t0 = temp[0];
@@ -124,27 +138,37 @@ Aes128::Aes128(std::span<const uint8_t, kKeySize> key) {
       rcon = Xtime(rcon);
     }
     for (int k = 0; k < 4; ++k) {
-      round_keys_[static_cast<size_t>(i + k)] =
-          round_keys_[static_cast<size_t>(i + k - 16)] ^ temp[k];
+      bytes[i + k] = bytes[i + k - 16] ^ temp[k];
     }
+  }
+  for (size_t w = 0; w < round_keys_.size(); ++w) {
+    round_keys_[w] = LoadLe32(bytes + 4 * w);
   }
 }
 
 void Aes128::EncryptBlock(std::span<const uint8_t, kBlockSize> in,
                           std::span<uint8_t, kBlockSize> out) const {
-  uint8_t state[16];
-  std::memcpy(state, in.data(), 16);
-  AddRoundKey(state, round_keys_.data());
+  const uint32_t* rk = round_keys_.data();
+  uint32_t s0 = LoadLe32(in.data()) ^ rk[0];
+  uint32_t s1 = LoadLe32(in.data() + 4) ^ rk[1];
+  uint32_t s2 = LoadLe32(in.data() + 8) ^ rk[2];
+  uint32_t s3 = LoadLe32(in.data() + 12) ^ rk[3];
   for (int round = 1; round <= 9; ++round) {
-    SubBytes(state);
-    ShiftRows(state);
-    MixColumns(state);
-    AddRoundKey(state, round_keys_.data() + 16 * round);
+    rk += 4;
+    const uint32_t t0 = RoundColumn(s0, s1, s2, s3, rk[0]);
+    const uint32_t t1 = RoundColumn(s1, s2, s3, s0, rk[1]);
+    const uint32_t t2 = RoundColumn(s2, s3, s0, s1, rk[2]);
+    const uint32_t t3 = RoundColumn(s3, s0, s1, s2, rk[3]);
+    s0 = t0;
+    s1 = t1;
+    s2 = t2;
+    s3 = t3;
   }
-  SubBytes(state);
-  ShiftRows(state);
-  AddRoundKey(state, round_keys_.data() + 160);
-  std::memcpy(out.data(), state, 16);
+  rk += 4;
+  StoreLe32(FinalColumn(s0, s1, s2, s3, rk[0]), out.data());
+  StoreLe32(FinalColumn(s1, s2, s3, s0, rk[1]), out.data() + 4);
+  StoreLe32(FinalColumn(s2, s3, s0, s1, rk[2]), out.data() + 8);
+  StoreLe32(FinalColumn(s3, s0, s1, s2, rk[3]), out.data() + 12);
 }
 
 }  // namespace wlansim

@@ -1,5 +1,13 @@
 // AES-128 block cipher (FIPS-197), encryption direction only — CCM (counter
 // mode + CBC-MAC) never needs the inverse cipher.
+//
+// Design: 32-bit T-tables. The state is four column words; each of the nine
+// full rounds folds SubBytes, ShiftRows and MixColumns into four lookups in
+// 256-entry word tables per column, and the last round uses the S-box
+// alone. The S-box and the tables are computed at compile time from the
+// GF(2^8) definition rather than transcribed. The lookups are indexed by
+// secret data, so this is not constant-time — fine for a simulator, not
+// for protecting real traffic.
 
 #ifndef WLANSIM_CRYPTO_AES_H_
 #define WLANSIM_CRYPTO_AES_H_
@@ -23,8 +31,8 @@ class Aes128 {
                     std::span<uint8_t, kBlockSize> out) const;
 
  private:
-  // 11 round keys × 16 bytes.
-  std::array<uint8_t, 176> round_keys_;
+  // 11 round keys × 4 little-endian column words.
+  std::array<uint32_t, 44> round_keys_;
 };
 
 }  // namespace wlansim

@@ -80,46 +80,49 @@ void Ccm::CounterBlock(std::span<const uint8_t> nonce, uint64_t counter,
   aes_.EncryptBlock(std::span<const uint8_t, 16>(block, 16), std::span<uint8_t, 16>(out, 16));
 }
 
-void Ccm::CtrProcess(std::span<const uint8_t> nonce, std::span<uint8_t> payload) const {
+void Ccm::CtrProcess(std::span<const uint8_t> nonce, std::span<const uint8_t> in,
+                     std::span<uint8_t> out) const {
+  assert(in.size() == out.size() && out.data() <= in.data());
   uint8_t keystream[16];
   uint64_t counter = 1;
   size_t consumed = 0;
-  while (consumed < payload.size()) {
+  while (consumed < in.size()) {
     CounterBlock(nonce, counter++, keystream);
-    const size_t n = std::min(payload.size() - consumed, size_t{16});
+    const size_t n = std::min(in.size() - consumed, size_t{16});
     for (size_t i = 0; i < n; ++i) {
-      payload[consumed + i] ^= keystream[i];
+      out[consumed + i] = in[consumed + i] ^ keystream[i];
     }
     consumed += n;
   }
 }
 
-std::vector<uint8_t> Ccm::Encrypt(std::span<const uint8_t> nonce, std::span<const uint8_t> aad,
-                                  std::span<uint8_t> payload) const {
+Ccm::Mic Ccm::Encrypt(std::span<const uint8_t> nonce, std::span<const uint8_t> aad,
+                      std::span<uint8_t> payload) const {
   uint8_t mac[16];
   ComputeMac(nonce, aad, payload, mac);
 
   // MIC = first M bytes of CBC-MAC, encrypted with counter block A_0.
   uint8_t a0[16];
   CounterBlock(nonce, 0, a0);
-  std::vector<uint8_t> mic(mic_len_);
+  Mic mic{};
   for (size_t i = 0; i < mic_len_; ++i) {
     mic[i] = mac[i] ^ a0[i];
   }
 
-  CtrProcess(nonce, payload);
+  CtrProcess(nonce, payload, payload);
   return mic;
 }
 
 bool Ccm::Decrypt(std::span<const uint8_t> nonce, std::span<const uint8_t> aad,
-                  std::span<uint8_t> payload, std::span<const uint8_t> mic) const {
+                  std::span<const uint8_t> ciphertext, std::span<uint8_t> plaintext,
+                  std::span<const uint8_t> mic) const {
   if (mic.size() != mic_len_) {
     return false;
   }
-  CtrProcess(nonce, payload);  // CTR is an involution
+  CtrProcess(nonce, ciphertext, plaintext);  // CTR is an involution
 
   uint8_t mac[16];
-  ComputeMac(nonce, aad, payload, mac);
+  ComputeMac(nonce, aad, plaintext, mac);
   uint8_t a0[16];
   CounterBlock(nonce, 0, a0);
 

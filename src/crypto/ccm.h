@@ -6,9 +6,9 @@
 #ifndef WLANSIM_CRYPTO_CCM_H_
 #define WLANSIM_CRYPTO_CCM_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "crypto/aes.h"
 
@@ -16,20 +16,28 @@ namespace wlansim {
 
 class Ccm {
  public:
+  static constexpr size_t kMaxMicLength = 16;
+  // A MIC; only the first mic_length() bytes are meaningful.
+  using Mic = std::array<uint8_t, kMaxMicLength>;
+
   Ccm(std::span<const uint8_t, Aes128::kKeySize> key, size_t mic_len, size_t length_field_size);
 
   size_t mic_length() const { return mic_len_; }
   size_t nonce_length() const { return 15 - length_len_; }
 
-  // Encrypts `payload` in place and returns the MIC (mic_length() bytes).
-  // `nonce` must be nonce_length() bytes; `aad` is authenticated only.
-  std::vector<uint8_t> Encrypt(std::span<const uint8_t> nonce, std::span<const uint8_t> aad,
-                               std::span<uint8_t> payload) const;
+  // Encrypts `payload` in place and returns the MIC in the first
+  // mic_length() bytes. `nonce` must be nonce_length() bytes; `aad` is
+  // authenticated only.
+  Mic Encrypt(std::span<const uint8_t> nonce, std::span<const uint8_t> aad,
+              std::span<uint8_t> payload) const;
 
-  // Decrypts `payload` in place and checks `mic`. Returns false (leaving the
-  // payload decrypted but untrusted) on MIC mismatch.
+  // Decrypts `ciphertext` into `plaintext` (same size) and checks `mic`.
+  // `plaintext` may be `ciphertext` itself or start before it in the same
+  // buffer, which lets a caller strip a header in the same pass. Returns
+  // false (leaving the plaintext decrypted but untrusted) on MIC mismatch.
   bool Decrypt(std::span<const uint8_t> nonce, std::span<const uint8_t> aad,
-               std::span<uint8_t> payload, std::span<const uint8_t> mic) const;
+               std::span<const uint8_t> ciphertext, std::span<uint8_t> plaintext,
+               std::span<const uint8_t> mic) const;
 
  private:
   // CBC-MAC over B0 | encoded(aad) | payload, per RFC 3610 §2.2.
@@ -40,7 +48,9 @@ class Ccm {
   void CounterBlock(std::span<const uint8_t> nonce, uint64_t counter,
                     uint8_t out[Aes128::kBlockSize]) const;
 
-  void CtrProcess(std::span<const uint8_t> nonce, std::span<uint8_t> payload) const;
+  // out[i] = in[i] ^ keystream[i]; `out` may equal `in` or start before it.
+  void CtrProcess(std::span<const uint8_t> nonce, std::span<const uint8_t> in,
+                  std::span<uint8_t> out) const;
 
   Aes128 aes_;
   size_t mic_len_;

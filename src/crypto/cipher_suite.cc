@@ -223,7 +223,7 @@ class TkipCipher final : public LinkCipher {
 class CcmpCipher final : public LinkCipher {
  public:
   explicit CcmpCipher(std::span<const uint8_t> key)
-      : ccm_(std::span<const uint8_t, 16>(key.data(), 16), /*mic_len=*/8,
+      : ccm_(std::span<const uint8_t, 16>(key.data(), 16), kMicSize,
              /*length_field_size=*/2) {
     assert(key.size() == 16);
   }
@@ -240,9 +240,9 @@ class CcmpCipher final : public LinkCipher {
     BuildNonce(ctx, pn, nonce);
     const auto aad = BuildAad(ctx);
 
-    const auto mic = ccm_.Encrypt(nonce, aad, body);
+    const Ccm::Mic mic = ccm_.Encrypt(nonce, aad, body);
 
-    uint8_t header[8];
+    uint8_t header[kHeaderSize];
     header[0] = static_cast<uint8_t>(pn);
     header[1] = static_cast<uint8_t>(pn >> 8);
     header[2] = 0;
@@ -251,12 +251,12 @@ class CcmpCipher final : public LinkCipher {
     header[5] = static_cast<uint8_t>(pn >> 24);
     header[6] = static_cast<uint8_t>(pn >> 32);
     header[7] = static_cast<uint8_t>(pn >> 40);
-    body.insert(body.begin(), header, header + 8);
-    body.insert(body.end(), mic.begin(), mic.end());
+    body.insert(body.begin(), header, header + kHeaderSize);
+    body.insert(body.end(), mic.begin(), mic.begin() + kMicSize);
   }
 
   bool Unprotect(const FrameCryptoContext& ctx, std::vector<uint8_t>& body) override {
-    if (body.size() < 16) {
+    if (body.size() < kHeaderSize + kMicSize) {
       return false;
     }
     const uint64_t pn = static_cast<uint64_t>(body[0]) | (static_cast<uint64_t>(body[1]) << 8) |
@@ -267,16 +267,19 @@ class CcmpCipher final : public LinkCipher {
     if (pn <= last_rx_pn_) {
       return false;  // replay
     }
-    body.erase(body.begin(), body.begin() + 8);
 
     uint8_t nonce[13];
     BuildNonce(ctx, pn, nonce);
     const auto aad = BuildAad(ctx);
 
-    const size_t n = body.size() - 8;
-    std::vector<uint8_t> mic(body.begin() + static_cast<ptrdiff_t>(n), body.end());
+    // Layout: header(8) | ciphertext(n) | MIC(8). Decrypting into the front
+    // of the buffer strips the header in the same pass as the keystream.
+    const size_t n = body.size() - kHeaderSize - kMicSize;
+    const std::span<const uint8_t> ciphertext(body.data() + kHeaderSize, n);
+    const std::span<const uint8_t> mic(body.data() + kHeaderSize + n, kMicSize);
+    const bool ok = ccm_.Decrypt(nonce, aad, ciphertext, std::span<uint8_t>(body.data(), n), mic);
     body.resize(n);
-    if (!ccm_.Decrypt(nonce, aad, body, mic)) {
+    if (!ok) {
       return false;
     }
     last_rx_pn_ = pn;
@@ -292,19 +295,21 @@ class CcmpCipher final : public LinkCipher {
     }
   }
 
-  std::vector<uint8_t> BuildAad(const FrameCryptoContext& ctx) const {
+  std::array<uint8_t, 19> BuildAad(const FrameCryptoContext& ctx) const {
     // Simplified AAD: the addressing triple + priority. (The full 802.11
     // AAD also masks frame-control/sequence-control bits; the security
     // property exercised here — binding ciphertext to the addresses — is
     // identical.)
-    std::vector<uint8_t> aad;
-    aad.reserve(19);
-    aad.insert(aad.end(), ctx.ta.bytes().begin(), ctx.ta.bytes().end());
-    aad.insert(aad.end(), ctx.da.bytes().begin(), ctx.da.bytes().end());
-    aad.insert(aad.end(), ctx.sa.bytes().begin(), ctx.sa.bytes().end());
-    aad.push_back(ctx.priority);
+    std::array<uint8_t, 19> aad;
+    auto it = std::copy(ctx.ta.bytes().begin(), ctx.ta.bytes().end(), aad.begin());
+    it = std::copy(ctx.da.bytes().begin(), ctx.da.bytes().end(), it);
+    it = std::copy(ctx.sa.bytes().begin(), ctx.sa.bytes().end(), it);
+    *it = ctx.priority;
     return aad;
   }
+
+  static constexpr size_t kHeaderSize = 8;  // PN0, PN1, rsvd, KeyID|ExtIV, PN2..PN5
+  static constexpr size_t kMicSize = 8;
 
   Ccm ccm_;
   uint64_t pn_ = 0;

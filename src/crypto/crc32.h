@@ -1,7 +1,13 @@
 // CRC-32 (IEEE 802.3 polynomial 0x04C11DB7, reflected 0xEDB88320).
 //
-// Used both as the 802.11 frame check sequence (FCS) and as the WEP
-// integrity check value (ICV).
+// Used as the 802.11 frame check sequence (FCS), as the WEP/TKIP
+// integrity check value (ICV) and as the WLSR block checksum.
+//
+// Design: slice-by-8. Eight 256-entry tables, generated at compile time
+// from the polynomial, fold eight input bytes per step with eight
+// independent lookups; the tail (< 8 bytes) and single-byte updates use the
+// classic byte-wise table. Input needs no alignment and the result is
+// byte-order independent.
 
 #ifndef WLANSIM_CRYPTO_CRC32_H_
 #define WLANSIM_CRYPTO_CRC32_H_

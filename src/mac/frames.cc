@@ -147,18 +147,24 @@ Packet BuildMpdu(const MacHeader& header, std::span<const uint8_t> body, PacketM
 // Stripping header and FCS goes through Packet's offset-only Remove ops,
 // so parsing a received MPDU never detaches the buffer the channel fan-out
 // shares across receivers: the whole decode path down to the body is
-// zero-copy.
+// zero-copy. The FCS is hashed once per (buffer, window): a passing check
+// is memoised in the buffer header, and every other receiver of the same
+// transmission reuses it. Any write to the buffer clears the memo.
 std::optional<MacHeader> ParseMpdu(Packet& packet) {
   auto bytes = packet.bytes();
   if (bytes.size() < 10 + kFcsSize) {
     return std::nullopt;
   }
-  const size_t n = bytes.size() - kFcsSize;
-  const uint32_t want = static_cast<uint32_t>(bytes[n]) | (static_cast<uint32_t>(bytes[n + 1]) << 8) |
-                        (static_cast<uint32_t>(bytes[n + 2]) << 16) |
-                        (static_cast<uint32_t>(bytes[n + 3]) << 24);
-  if (Crc32(bytes.subspan(0, n)) != want) {
-    return std::nullopt;
+  if (!packet.FcsVerified()) {
+    const size_t n = bytes.size() - kFcsSize;
+    const uint32_t want = static_cast<uint32_t>(bytes[n]) |
+                          (static_cast<uint32_t>(bytes[n + 1]) << 8) |
+                          (static_cast<uint32_t>(bytes[n + 2]) << 16) |
+                          (static_cast<uint32_t>(bytes[n + 3]) << 24);
+    if (Crc32(bytes.subspan(0, n)) != want) {
+      return std::nullopt;
+    }
+    packet.MarkFcsVerified();
   }
   auto header = MacHeader::Deserialize(bytes);
   if (!header.has_value()) {

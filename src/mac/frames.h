@@ -86,7 +86,9 @@ constexpr size_t kFcsSize = 4;
 Packet BuildMpdu(const MacHeader& header, std::span<const uint8_t> body, PacketMeta meta = {});
 
 // Parses an MPDU: verifies the FCS, extracts the header and strips both
-// (leaving the body in `packet`). Returns nullopt on malformed frames.
+// (leaving the body in `packet`). Returns nullopt on malformed frames. A
+// passing FCS is memoised on the packet's buffer (Packet::FcsVerified), so
+// sibling views of the same bytes are not hashed again.
 std::optional<MacHeader> ParseMpdu(Packet& packet);
 
 // Total MPDU size for a given body length (for duration precomputation).

@@ -529,6 +529,70 @@ TEST(PacketCow, CowCopiedBytesCountsOnlySharedDetaches) {
   EXPECT_EQ(Packet::CowCopiedBytes(), before + 304);
 }
 
+// --- Packet FCS memo --------------------------------------------------------------
+
+TEST(PacketFcsMemo, FreshBufferHasNoMemo) {
+  Packet a(std::vector<uint8_t>{1, 2, 3, 4});
+  EXPECT_FALSE(a.FcsVerified());
+  Packet empty;
+  EXPECT_FALSE(empty.FcsVerified());
+}
+
+TEST(PacketFcsMemo, SiblingsOfTheSameWindowShareTheMemo) {
+  Packet a(std::vector<uint8_t>{1, 2, 3, 4});
+  Packet b = a;
+  a.MarkFcsVerified();
+  EXPECT_TRUE(b.FcsVerified());
+  Packet moved = std::move(b);  // a move steals the buffer, memo included
+  EXPECT_TRUE(moved.FcsVerified());
+}
+
+TEST(PacketFcsMemo, OtherWindowOfTheSameBufferIsNotVerified) {
+  Packet a(std::vector<uint8_t>{1, 2, 3, 4, 5});
+  a.MarkFcsVerified();
+  Packet b = a;
+  b.RemoveHeader(1);
+  EXPECT_FALSE(b.FcsVerified());
+  Packet c = a;
+  c.RemoveTrailer(1);
+  EXPECT_FALSE(c.FcsVerified());
+  EXPECT_TRUE(a.FcsVerified());
+}
+
+TEST(PacketFcsMemo, EveryInPlaceWriteClearsTheMemo) {
+  const std::vector<uint8_t> one = {9};
+  Packet a(std::vector<uint8_t>{1, 2, 3, 4});
+  a.MarkFcsVerified();
+  (void)a.mutable_bytes();
+  EXPECT_FALSE(a.FcsVerified());
+
+  // AddHeader / AddTrailer into existing head/tailroom of an exclusive
+  // buffer write in place; restoring the window must not revive the memo.
+  a.MarkFcsVerified();
+  a.AddHeader(one);
+  a.RemoveHeader(1);
+  EXPECT_FALSE(a.FcsVerified());
+
+  a.MarkFcsVerified();
+  a.RemoveTrailer(1);
+  a.AddTrailer(one);
+  EXPECT_FALSE(a.FcsVerified());
+
+  a.MarkFcsVerified();
+  a.SetBytes(std::vector<uint8_t>{1, 2, 3, 4});
+  EXPECT_FALSE(a.FcsVerified());
+}
+
+TEST(PacketFcsMemo, DetachStartsEmptyAndLeavesTheSharedMemo) {
+  Packet a(std::vector<uint8_t>{1, 2, 3, 4});
+  a.MarkFcsVerified();
+  Packet b = a;
+  b.mutable_bytes()[0] = 99;
+  EXPECT_FALSE(a.SharesBufferWith(b));
+  EXPECT_FALSE(b.FcsVerified());
+  EXPECT_TRUE(a.FcsVerified());  // the original bytes are untouched
+}
+
 TEST(EventQueue, HeapFallbacksCountsOnlyOversizedClosures) {
   EventQueue q;
   q.Schedule(Time::Micros(1), [] {});  // fits inline

@@ -1,10 +1,13 @@
 // Crypto substrate tests: published vectors (CRC-32, RC4, AES FIPS-197,
-// Michael 802.11i), CCM properties, TKIP mixing properties, and full
-// cipher-suite round trips with tamper detection.
+// Michael 802.11i), differential checks of the table-driven CRC-32 and AES
+// against byte-wise reference implementations kept here as oracles, CCM
+// properties, TKIP mixing properties, and full cipher-suite round trips with
+// tamper detection.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <numeric>
 
@@ -69,6 +72,69 @@ TEST(Crc32, SingleBitFlipChangesValue) {
     data[i] ^= 0x01;
     EXPECT_NE(Crc32(data), base) << "flip at byte " << i;
     data[i] ^= 0x01;
+  }
+}
+
+// Byte-wise reference CRC-32 (one table lookup per byte), the oracle for the
+// library's slice-by-8 implementation.
+uint32_t ReferenceCrc32(std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (uint8_t b : data) {
+    c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t n) {
+  std::vector<uint8_t> v(n);
+  for (auto& b : v) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  return v;
+}
+
+TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(321);
+  const auto data = RandomBytes(rng, 300 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::span<const uint8_t> window(data.data() + offset, len);
+      ASSERT_EQ(Crc32(window), ReferenceCrc32(window)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, BuilderSplitAtEveryPointMatchesReference) {
+  Rng rng(654);
+  const auto data = RandomBytes(rng, 300);
+  const uint32_t want = ReferenceCrc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    // Span | span.
+    Crc32Builder spans;
+    spans.Update(std::span(data.data(), split));
+    spans.Update(std::span(data.data() + split, data.size() - split));
+    ASSERT_EQ(spans.Finalize(), want) << "split " << split;
+
+    // Up to three single bytes at the split, then the rest as a span.
+    Crc32Builder mixed;
+    mixed.Update(std::span(data.data(), split));
+    size_t pos = split;
+    for (; pos < data.size() && pos < split + 3; ++pos) {
+      mixed.Update(data[pos]);
+    }
+    mixed.Update(std::span(data.data() + pos, data.size() - pos));
+    ASSERT_EQ(mixed.Finalize(), want) << "split " << split;
   }
 }
 
@@ -165,6 +231,155 @@ TEST(Aes128, DifferentKeysDifferentCiphertexts) {
   EXPECT_NE(std::memcmp(ct1, ct2, 16), 0);
 }
 
+// Reference AES-128 encryption: the textbook FIPS-197 rounds (SubBytes,
+// ShiftRows, MixColumns, AddRoundKey) on a byte-array state, the oracle for
+// the library's T-table implementation. The S-box is derived here from the
+// GF(2^8) inverse and affine map, independently of the library.
+class ReferenceAes128 {
+ public:
+  explicit ReferenceAes128(std::span<const uint8_t, 16> key) {
+    std::memcpy(round_keys_.data(), key.data(), 16);
+    uint8_t rcon = 0x01;
+    for (size_t i = 16; i < 176; i += 4) {
+      uint8_t temp[4];
+      std::memcpy(temp, round_keys_.data() + i - 4, 4);
+      if (i % 16 == 0) {
+        const uint8_t t0 = temp[0];
+        temp[0] = static_cast<uint8_t>(Sbox()[temp[1]] ^ rcon);
+        temp[1] = Sbox()[temp[2]];
+        temp[2] = Sbox()[temp[3]];
+        temp[3] = Sbox()[t0];
+        rcon = Xtime(rcon);
+      }
+      for (size_t k = 0; k < 4; ++k) {
+        round_keys_[i + k] = round_keys_[i + k - 16] ^ temp[k];
+      }
+    }
+  }
+
+  std::array<uint8_t, 16> EncryptBlock(std::span<const uint8_t, 16> in) const {
+    std::array<uint8_t, 16> state;
+    std::memcpy(state.data(), in.data(), 16);
+    AddRoundKey(state, 0);
+    for (size_t round = 1; round <= 9; ++round) {
+      SubBytes(state);
+      ShiftRows(state);
+      MixColumns(state);
+      AddRoundKey(state, round);
+    }
+    SubBytes(state);
+    ShiftRows(state);
+    AddRoundKey(state, 10);
+    return state;
+  }
+
+ private:
+  static uint8_t Xtime(uint8_t a) {
+    return static_cast<uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1B : 0x00));
+  }
+
+  static uint8_t GfMul(uint8_t a, uint8_t b) {
+    uint8_t p = 0;
+    for (int i = 0; i < 8; ++i) {
+      if (b & 1) {
+        p ^= a;
+      }
+      a = Xtime(a);
+      b >>= 1;
+    }
+    return p;
+  }
+
+  static const std::array<uint8_t, 256>& Sbox() {
+    static const std::array<uint8_t, 256> sbox = [] {
+      std::array<uint8_t, 256> t{};
+      for (int i = 0; i < 256; ++i) {
+        uint8_t inv = 0;  // 0 maps to 0; otherwise the unique b with i*b == 1
+        for (int b = 1; i != 0 && b < 256; ++b) {
+          if (GfMul(static_cast<uint8_t>(i), static_cast<uint8_t>(b)) == 1) {
+            inv = static_cast<uint8_t>(b);
+            break;
+          }
+        }
+        uint8_t x = inv;
+        uint8_t y = inv;
+        for (int k = 0; k < 4; ++k) {
+          y = static_cast<uint8_t>((y << 1) | (y >> 7));
+          x ^= y;
+        }
+        t[static_cast<size_t>(i)] = x ^ 0x63;
+      }
+      return t;
+    }();
+    return sbox;
+  }
+
+  static void SubBytes(std::array<uint8_t, 16>& state) {
+    for (auto& b : state) {
+      b = Sbox()[b];
+    }
+  }
+
+  // State is column-major: state[4*c + r] is row r, column c.
+  static void ShiftRows(std::array<uint8_t, 16>& state) {
+    uint8_t t = state[1];
+    state[1] = state[5];
+    state[5] = state[9];
+    state[9] = state[13];
+    state[13] = t;
+    std::swap(state[2], state[10]);
+    std::swap(state[6], state[14]);
+    t = state[15];
+    state[15] = state[11];
+    state[11] = state[7];
+    state[7] = state[3];
+    state[3] = t;
+  }
+
+  static void MixColumns(std::array<uint8_t, 16>& state) {
+    for (size_t c = 0; c < 4; ++c) {
+      uint8_t* col = state.data() + 4 * c;
+      const uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+      const uint8_t all = a0 ^ a1 ^ a2 ^ a3;
+      col[0] = static_cast<uint8_t>(a0 ^ all ^ Xtime(a0 ^ a1));
+      col[1] = static_cast<uint8_t>(a1 ^ all ^ Xtime(a1 ^ a2));
+      col[2] = static_cast<uint8_t>(a2 ^ all ^ Xtime(a2 ^ a3));
+      col[3] = static_cast<uint8_t>(a3 ^ all ^ Xtime(a3 ^ a0));
+    }
+  }
+
+  void AddRoundKey(std::array<uint8_t, 16>& state, size_t round) const {
+    for (size_t i = 0; i < 16; ++i) {
+      state[i] ^= round_keys_[16 * round + i];
+    }
+  }
+
+  std::array<uint8_t, 176> round_keys_{};
+};
+
+TEST(Aes128, ReferenceMatchesFips197Vector) {
+  // Anchors the oracle itself before it judges the library.
+  const auto key = FromHex("000102030405060708090a0b0c0d0e0f");
+  const auto pt = FromHex("00112233445566778899aabbccddeeff");
+  const auto ct = ReferenceAes128(std::span<const uint8_t, 16>(key.data(), 16))
+                      .EncryptBlock(std::span<const uint8_t, 16>(pt.data(), 16));
+  EXPECT_EQ(std::vector<uint8_t>(ct.begin(), ct.end()),
+            FromHex("69c4e0d86a7b0430d8cdb78070b4c55a"));
+}
+
+TEST(Aes128, TTablesMatchReferenceOnRandomKeysAndBlocks) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const auto key = RandomBytes(rng, 16);
+    const auto pt = RandomBytes(rng, 16);
+    const std::span<const uint8_t, 16> key16(key.data(), 16);
+    const std::span<const uint8_t, 16> pt16(pt.data(), 16);
+    std::array<uint8_t, 16> ct;
+    Aes128(key16).EncryptBlock(pt16, ct);
+    ASSERT_EQ(ct, ReferenceAes128(key16).EncryptBlock(pt16)) << "trial " << trial;
+  }
+}
+
 // --- Michael ------------------------------------------------------------------
 
 // The IEEE 802.11i Annex chained test vectors: each MIC is the key for the
@@ -211,9 +426,9 @@ TEST(Ccm, Rfc3610Vector1) {
   const auto aad = FromHex("0001020304050607");
   auto payload = FromHex("08090A0B0C0D0E0F101112131415161718191A1B1C1D1E");
   Ccm ccm(std::span<const uint8_t, 16>(key.data(), 16), 8, 2);
-  const auto mic = ccm.Encrypt(nonce, aad, payload);
+  const Ccm::Mic mic = ccm.Encrypt(nonce, aad, payload);
   EXPECT_EQ(payload, FromHex("588C979A61C663D2F066D0C2C0F989806D5F6B61DAC384"));
-  EXPECT_EQ(mic, FromHex("17E8D12CFDF926E0"));
+  EXPECT_EQ(std::vector<uint8_t>(mic.begin(), mic.begin() + 8), FromHex("17E8D12CFDF926E0"));
 }
 
 TEST(Ccm, Rfc3610Vector1Decrypts) {
@@ -223,8 +438,24 @@ TEST(Ccm, Rfc3610Vector1Decrypts) {
   auto payload = FromHex("588C979A61C663D2F066D0C2C0F989806D5F6B61DAC384");
   const auto mic = FromHex("17E8D12CFDF926E0");
   Ccm ccm(std::span<const uint8_t, 16>(key.data(), 16), 8, 2);
-  EXPECT_TRUE(ccm.Decrypt(nonce, aad, payload, mic));
+  EXPECT_TRUE(ccm.Decrypt(nonce, aad, payload, payload, mic));
   EXPECT_EQ(payload, FromHex("08090A0B0C0D0E0F101112131415161718191A1B1C1D1E"));
+}
+
+TEST(Ccm, DecryptIntoFrontOfBufferStripsHeader) {
+  // header(3) | ciphertext | MIC, decrypted into the front of the buffer in
+  // one pass — the CCMP receive path's layout.
+  const auto key = FromHex("C0C1C2C3C4C5C6C7C8C9CACBCCCDCECF");
+  const auto nonce = FromHex("00000003020100A0A1A2A3A4A5");
+  const auto aad = FromHex("0001020304050607");
+  auto frame = FromHex("AABBCC588C979A61C663D2F066D0C2C0F989806D5F6B61DAC38417E8D12CFDF926E0");
+  const size_t n = frame.size() - 3 - 8;
+  Ccm ccm(std::span<const uint8_t, 16>(key.data(), 16), 8, 2);
+  EXPECT_TRUE(ccm.Decrypt(nonce, aad, std::span<const uint8_t>(frame.data() + 3, n),
+                          std::span<uint8_t>(frame.data(), n),
+                          std::span<const uint8_t>(frame.data() + 3 + n, 8)));
+  frame.resize(n);
+  EXPECT_EQ(frame, FromHex("08090A0B0C0D0E0F101112131415161718191A1B1C1D1E"));
 }
 
 TEST(Ccm, TamperedCiphertextFailsMic) {
@@ -235,7 +466,7 @@ TEST(Ccm, TamperedCiphertextFailsMic) {
   auto mic = FromHex("17E8D12CFDF926E0");
   payload[5] ^= 0x80;
   Ccm ccm(std::span<const uint8_t, 16>(key.data(), 16), 8, 2);
-  EXPECT_FALSE(ccm.Decrypt(nonce, aad, payload, mic));
+  EXPECT_FALSE(ccm.Decrypt(nonce, aad, payload, payload, mic));
 }
 
 TEST(Ccm, TamperedAadFailsMic) {
@@ -246,7 +477,7 @@ TEST(Ccm, TamperedAadFailsMic) {
   auto mic = FromHex("17E8D12CFDF926E0");
   aad[0] ^= 0x01;
   Ccm ccm(std::span<const uint8_t, 16>(key.data(), 16), 8, 2);
-  EXPECT_FALSE(ccm.Decrypt(nonce, aad, payload, mic));
+  EXPECT_FALSE(ccm.Decrypt(nonce, aad, payload, payload, mic));
 }
 
 TEST(Ccm, RoundTripRandomPayloads) {
@@ -270,11 +501,11 @@ TEST(Ccm, RoundTripRandomPayloads) {
       b = static_cast<uint8_t>(rng.UniformInt(0, 255));
     }
     auto original = payload;
-    auto mic = ccm.Encrypt(nonce, aad, payload);
+    const Ccm::Mic mic = ccm.Encrypt(nonce, aad, payload);
     if (!original.empty()) {
       EXPECT_NE(payload, original);
     }
-    EXPECT_TRUE(ccm.Decrypt(nonce, aad, payload, mic));
+    EXPECT_TRUE(ccm.Decrypt(nonce, aad, payload, payload, std::span(mic.data(), 8)));
     EXPECT_EQ(payload, original);
   }
 }

@@ -1,5 +1,6 @@
-// MAC-layer unit tests: frame codec round trips, FCS integrity, management
-// bodies, the transmit queue, DCF channel-access timing, NAV, and EIFS.
+// MAC-layer unit tests: frame codec round trips, FCS integrity and its
+// per-buffer memo, management bodies, the transmit queue, DCF
+// channel-access timing, NAV, and EIFS.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,88 @@ TEST(Frames, CorruptedFcsRejected) {
   // Flip one payload bit: the FCS check must fail.
   mpdu.mutable_bytes()[30] ^= 0x10;
   EXPECT_FALSE(ParseMpdu(mpdu).has_value());
+}
+
+// --- FCS memo: a stored verdict must never let a changed frame pass ---------
+
+Packet DataMpdu() {
+  MacHeader h;
+  h.type = FrameType::kData;
+  h.addr1 = MacAddress::FromId(1);
+  h.addr2 = MacAddress::FromId(2);
+  const std::vector<uint8_t> body(64, 0x7E);
+  return BuildMpdu(h, body);
+}
+
+// Parses a sibling view, leaving `mpdu` (exclusive again afterwards) with
+// its window's FCS memoised.
+void VerifyThroughSibling(const Packet& mpdu) {
+  Packet probe = mpdu;
+  ASSERT_TRUE(ParseMpdu(probe).has_value());
+  ASSERT_TRUE(mpdu.FcsVerified());
+}
+
+TEST(FcsMemo, SiblingReusesStoredVerdict) {
+  Packet a = DataMpdu();
+  Packet b = a;
+  ASSERT_TRUE(ParseMpdu(a).has_value());
+  EXPECT_TRUE(b.FcsVerified());
+  EXPECT_TRUE(ParseMpdu(b).has_value());
+
+  // The memo is consulted, not re-derived: a window marked verified is
+  // accepted even with a bad FCS (only ParseMpdu marks, after a real check).
+  Packet forged = DataMpdu();
+  forged.mutable_bytes()[forged.size() - 1] ^= 0xFF;
+  Packet check = forged;
+  EXPECT_FALSE(ParseMpdu(check).has_value());
+  forged.MarkFcsVerified();
+  EXPECT_TRUE(ParseMpdu(forged).has_value());
+}
+
+TEST(FcsMemo, BitFlipOnExclusiveBufferIsRejected) {
+  Packet mpdu = DataMpdu();
+  VerifyThroughSibling(mpdu);
+  ASSERT_EQ(mpdu.buffer_refcount(), 1u);
+  const uint64_t copied = Packet::CowCopiedBytes();
+  mpdu.mutable_bytes()[30] ^= 0x10;  // in place: no detach
+  EXPECT_EQ(Packet::CowCopiedBytes(), copied);
+  EXPECT_FALSE(ParseMpdu(mpdu).has_value());
+}
+
+TEST(FcsMemo, RewrittenFcsIsRejected) {
+  Packet mpdu = DataMpdu();
+  VerifyThroughSibling(mpdu);
+  // Same window, same buffer, different last four bytes.
+  const std::vector<uint8_t> bad_fcs = {0xDE, 0xAD, 0xBE, 0xEF};
+  mpdu.RemoveTrailer(kFcsSize);
+  mpdu.AddTrailer(bad_fcs);
+  EXPECT_FALSE(ParseMpdu(mpdu).has_value());
+}
+
+TEST(FcsMemo, DetachedCorruptedSiblingIsRejectedOriginalStillParses) {
+  Packet original = DataMpdu();
+  VerifyThroughSibling(original);
+  Packet sibling = original;
+  sibling.mutable_bytes()[30] ^= 0x10;
+  EXPECT_FALSE(sibling.SharesBufferWith(original));
+  EXPECT_FALSE(ParseMpdu(sibling).has_value());
+  EXPECT_TRUE(ParseMpdu(original).has_value());
+}
+
+TEST(FcsMemo, DifferentWindowOfSameBufferIsNotVerified) {
+  Packet mpdu = DataMpdu();
+  VerifyThroughSibling(mpdu);
+  Packet shorter = mpdu;
+  shorter.RemoveTrailer(1);  // the last three FCS bytes + one body byte
+  EXPECT_TRUE(shorter.SharesBufferWith(mpdu));
+  EXPECT_FALSE(shorter.FcsVerified());
+  EXPECT_FALSE(ParseMpdu(shorter).has_value());
+
+  Packet later_start = mpdu;
+  later_start.RemoveHeader(1);  // same tail, different head
+  EXPECT_TRUE(later_start.SharesBufferWith(mpdu));
+  EXPECT_FALSE(later_start.FcsVerified());
+  EXPECT_FALSE(ParseMpdu(later_start).has_value());
 }
 
 TEST(Frames, TruncatedFrameRejected) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Produces the canonical scenario output set used by the radio-seam
-# byte-identity differential (tools/diff_vs_ref.sh): for every scenario
-# named on stdin (or every registered scenario when stdin is a tty), one
-# short campaign (aggregate CSV + per-replication CSV) and one two-point
-# sweep CSV, with fixed seeds and shortened simulated time so the whole
-# matrix runs in well under a minute.
+# Produces the canonical scenario output set whose SHA-256 digests the
+# golden-digest ctest (tests/golden/check_digests.sh) compares with
+# tests/golden/digests.txt: for every scenario named on the command line
+# (or every registered scenario when none is named), one short campaign
+# (aggregate CSV + per-replication CSV) and one two-point sweep CSV, with
+# fixed seeds and shortened simulated time so the whole matrix runs in
+# about a second.
 #
 # Usage: scenario_outputs.sh <wlansim_run binary> <output dir> [scenario...]
 #
