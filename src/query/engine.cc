@@ -139,6 +139,29 @@ size_t ColumnIndexIn(const GroupRef& ref, const std::string& name) {
   return static_cast<size_t>(it - names.begin());
 }
 
+// One exact aggregate per named metric over the members' columns pooled in
+// member order, each pooled buffer moved into the fold.
+std::vector<MetricAggregate> PooledAggregates(ExtentCache& cache,
+                                              const std::vector<GroupRef>& members,
+                                              const std::vector<std::string>& names) {
+  size_t rows = 0;
+  for (const GroupRef& ref : members) {
+    rows += ref.group().header.n_rows;
+  }
+  std::vector<MetricAggregate> aggregates;
+  aggregates.reserve(names.size());
+  for (const std::string& name : names) {
+    std::vector<double> pooled;
+    pooled.reserve(rows);
+    for (const GroupRef& ref : members) {
+      const ColumnPtr values = cache.GetScalarColumn(ref, ColumnIndexIn(ref, name));
+      pooled.insert(pooled.end(), values->begin(), values->end());
+    }
+    aggregates.push_back(ExactAggregate(name, std::move(pooled)));
+  }
+  return aggregates;
+}
+
 }  // namespace
 
 std::string QueryEngine::Execute(const std::string& query) {
@@ -324,18 +347,7 @@ std::string QueryEngine::Execute(const std::string& query) {
     // Campaign members share one schema (registration enforces it), so the
     // union IS every member's column list.
     const std::vector<std::string>& names = metrics.empty() ? c.scalar_names : metrics;
-    std::vector<MetricAggregate> aggregates;
-    aggregates.reserve(names.size());
-    std::vector<double> pooled;
-    for (const std::string& name : names) {
-      pooled.clear();
-      for (const GroupRef& ref : c.GroupsInOrder()) {
-        const ColumnPtr values = cache_->GetScalarColumn(ref, ColumnIndexIn(ref, name));
-        pooled.insert(pooled.end(), values->begin(), values->end());
-      }
-      aggregates.push_back(AggregateScalarSamples(name, pooled));
-    }
-    return ResultSink::AggregatesToCsv(aggregates);
+    return ResultSink::AggregatesToCsv(PooledAggregates(*cache_, c.GroupsInOrder(), names));
   }
 
   // Sweep: default grouping is every sweep parameter, making the default
@@ -375,7 +387,6 @@ std::string QueryEngine::Execute(const std::string& query) {
   }
 
   std::string csv = ResultSink::SweepLongCsvHeader(group_keys, false);
-  std::vector<double> pooled;
   for (const auto& [key, members] : buckets) {
     // "*" expands to the bucket's own schema — exactly the point's column
     // list under the default per-point grouping, which is what keeps the
@@ -393,17 +404,7 @@ std::string QueryEngine::Execute(const std::string& query) {
         }
       }
     }
-    std::vector<MetricAggregate> aggregates;
-    aggregates.reserve(names.size());
-    for (const std::string& name : names) {
-      pooled.clear();
-      for (const GroupRef& ref : members) {
-        const ColumnPtr values = cache_->GetScalarColumn(ref, ColumnIndexIn(ref, name));
-        pooled.insert(pooled.end(), values->begin(), values->end());
-      }
-      aggregates.push_back(AggregateScalarSamples(name, pooled));
-    }
-    csv += ResultSink::SweepLongCsvRows(key, aggregates);
+    csv += ResultSink::SweepLongCsvRows(key, PooledAggregates(*cache_, members, names));
   }
   return csv;
 }

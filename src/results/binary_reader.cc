@@ -1,7 +1,6 @@
 #include "results/binary_reader.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <map>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 #include "crypto/crc32.h"
 #include "runner/result_consumer.h"
 #include "runner/result_sink.h"
-#include "stats/summary.h"
 
 namespace wlansim {
 namespace {
@@ -57,10 +55,10 @@ void WalkExtents(const BinaryGroup& group,
 std::vector<MetricAggregate> ExactGroupAggregates(const BinaryGroup& group) {
   std::vector<MetricAggregate> aggregates;
   aggregates.reserve(group.header.scalar_names.size());
-  std::vector<double> column;
   for (size_t c = 0; c < group.header.scalar_names.size(); ++c) {
+    std::vector<double> column;
     ReadScalarColumn(group, c, &column);
-    aggregates.push_back(AggregateScalarSamples(group.header.scalar_names[c], column));
+    aggregates.push_back(ExactAggregate(group.header.scalar_names[c], std::move(column)));
   }
   return aggregates;
 }
@@ -94,31 +92,6 @@ void RequireSameSchema(const BinaryFileHeader& a, const BinaryFileHeader& b,
 }
 
 }  // namespace
-
-// Mirrors ResultSink::AggregateReplications for one fully-reported metric
-// column (every row has every column in a binary group, so the two are the
-// same math over the same sequence — hence the same bytes downstream).
-MetricAggregate AggregateScalarSamples(const std::string& name,
-                                       const std::vector<double>& values) {
-  Summary summary;
-  for (double v : values) {
-    summary.Add(v);
-  }
-  MetricAggregate agg;
-  agg.metric = name;
-  agg.count = summary.count();
-  agg.mean = summary.mean();
-  agg.stddev = summary.stddev();
-  agg.ci95_half = summary.count() > 1
-                      ? StudentT95(summary.count() - 1) * summary.stddev() /
-                            std::sqrt(static_cast<double>(summary.count()))
-                      : 0.0;
-  agg.min = summary.min();
-  agg.max = summary.max();
-  agg.p50 = ExactQuantile(values, 0.50);
-  agg.p95 = ExactQuantile(values, 0.95);
-  return agg;
-}
 
 BinaryResultsFile ParseBinaryResults(const std::string& bytes) {
   ByteReader reader(bytes);
@@ -427,14 +400,14 @@ std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files) 
     }
     std::vector<MetricAggregate> aggregates;
     aggregates.reserve(names.size());
-    std::vector<double> column, file_column;
+    std::vector<double> file_column;
     for (size_t c = 0; c < names.size(); ++c) {
-      column.clear();
+      std::vector<double> column;
       for (const BinaryResultsFile* file : files) {
         ReadScalarColumn(file->groups.front(), c, &file_column);
         column.insert(column.end(), file_column.begin(), file_column.end());
       }
-      aggregates.push_back(AggregateScalarSamples(names[c], column));
+      aggregates.push_back(ExactAggregate(names[c], std::move(column)));
     }
     return ResultSink::AggregatesToCsv(aggregates);
   }

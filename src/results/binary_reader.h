@@ -77,12 +77,11 @@ void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream&
 std::string ExportBinaryCsv(const BinaryResultsFile& file);
 
 // Aggregates across files without materializing rows: per metric (and per
-// grid point for sweeps), a Welford summary plus exact sorted-sample
-// quantiles over the concatenated columns, in file order. Output is
-// AggregatesToCsv for campaigns and the long-format CSV for sweeps —
-// always with exact quantile labels, because the stored records are exact
-// whatever aggregation the original run used. Files must share scenario,
-// kind, and schema-bearing header fields.
+// grid point for sweeps), ExactAggregate over the concatenated columns, in
+// file order. Output is AggregatesToCsv for campaigns and the long-format
+// CSV for sweeps — always with exact quantile labels, because the stored
+// records are exact whatever aggregation the original run used. Files must
+// share scenario, kind, and schema-bearing header fields.
 std::string AggregateBinary(const std::vector<BinaryResultsFile>& files);
 
 // The same operation over borrowed files (none may be null). This is the
@@ -90,14 +89,6 @@ std::string AggregateBinary(const std::vector<BinaryResultsFile>& files);
 // served answers must be byte-identical to the offline path, so both
 // spellings run literally the same code.
 std::string AggregateBinary(const std::vector<const BinaryResultsFile*>& files);
-
-// The exact per-column aggregation shared by AggregateBinary, the export
-// path and the query engine: Welford mean/stddev/CI over `values` in the
-// given order plus exact sorted-sample quantiles. Mirrors
-// ResultSink::AggregateReplications for a fully-reported metric column, so
-// every downstream CSV byte matches the text writers'.
-MetricAggregate AggregateScalarSamples(const std::string& name,
-                                       const std::vector<double>& values);
 
 }  // namespace wlansim
 

@@ -1,6 +1,5 @@
 #include "runner/result_consumer.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -124,17 +123,7 @@ std::vector<MetricAggregate> OnlineAggregator::Aggregates() const {
   std::vector<MetricAggregate> out;
   out.reserve(metrics_.size());
   for (const auto& [name, state] : metrics_) {
-    MetricAggregate agg;
-    agg.metric = name;
-    agg.count = state.summary.count();
-    agg.mean = state.summary.mean();
-    agg.stddev = state.summary.stddev();
-    agg.ci95_half = state.summary.count() > 1
-                        ? StudentT95(state.summary.count() - 1) * state.summary.stddev() /
-                              std::sqrt(static_cast<double>(state.summary.count()))
-                        : 0.0;
-    agg.min = state.summary.min();
-    agg.max = state.summary.max();
+    MetricAggregate agg = SummaryAggregate(name, state.summary);
     agg.p50 = state.p50.Value();
     agg.p95 = state.p95.Value();
     out.push_back(std::move(agg));

@@ -150,7 +150,7 @@ class InMemoryConsumer final : public ResultConsumer {
   // The records' scalar maps, as the legacy per-replication row vector.
   std::vector<ReplicationResult> ToReplicationResults() const;
 
-  // Exact aggregates (sorted-sample quantiles), byte-identical to
+  // Exact aggregates (type-7 quantiles by selection), byte-identical to
   // ResultSink::Aggregate over the same rows.
   std::vector<MetricAggregate> Aggregates() const;
 

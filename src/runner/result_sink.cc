@@ -1,15 +1,15 @@
 #include "runner/result_sink.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
-
-#include "stats/summary.h"
 
 namespace wlansim {
 namespace {
@@ -18,7 +18,7 @@ namespace {
 // line uses it.
 std::string Num(double v) { return CsvNum(v); }
 
-// The quantile column names under exact (sorted-sample) and approximate
+// The quantile column names under exact (type-7 by selection) and approximate
 // (P-square) aggregation. Streamed campaigns must never present an estimate
 // as an exact percentile, so the approximate path renames the columns.
 const char* P50Label(bool approx) { return approx ? "p50_approx" : "p50"; }
@@ -77,27 +77,73 @@ double StudentT95(uint64_t df) {
 
 namespace {
 
-// ExactQuantile on an already-sorted sample, so Aggregate can sort each
-// metric once and read several quantiles off it.
-double QuantileSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0.0;
+// Type-7 quantiles of `v` at ascending `qs`, found by selection in place: no
+// copy, no sort. operator< is no strict weak order once a NaN is present,
+// so the NaNs first move behind the numbers, in O(n), and rank after them
+// as in NumPy's sort order: a rank past the numbers reads NaN. Each
+// selection partitions only the part above the previous quantile's rank.
+template <size_t N>
+std::array<double, N> SelectQuantiles(std::vector<double>& v, const double (&qs)[N]) {
+  std::array<double, N> out{};
+  if (v.empty()) {
+    return out;
   }
-  q = std::clamp(q, 0.0, 1.0);
-  const double h = static_cast<double>(sorted.size() - 1) * q;
-  const size_t lo = static_cast<size_t>(h);
-  if (lo + 1 >= sorted.size()) {
-    return sorted.back();
+  const auto at = [&v](size_t i) { return v.begin() + static_cast<ptrdiff_t>(i); };
+  const size_t n = v.size();
+  const size_t numbers = static_cast<size_t>(
+      std::partition(v.begin(), v.end(), [](double x) { return !std::isnan(x); }) - v.begin());
+  size_t placed = 0;  // ranks below this are in their final place
+  for (size_t i = 0; i < N; ++i) {
+    const double h = static_cast<double>(n - 1) * std::clamp(qs[i], 0.0, 1.0);
+    const size_t lo = static_cast<size_t>(h);
+    if (lo < numbers && lo >= placed) {
+      std::nth_element(at(placed), at(lo), at(numbers));
+      placed = lo + 1;
+    }
+    if (lo + 1 == n) {
+      out[i] = v[lo];
+      continue;
+    }
+    // Rank lo+1 is the smallest value above rank lo.
+    const double next = lo + 1 < numbers ? *std::min_element(at(lo + 1), at(numbers)) : v[lo + 1];
+    out[i] = v[lo] + (h - static_cast<double>(lo)) * (next - v[lo]);
   }
-  const double frac = h - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+  return out;
 }
 
 }  // namespace
 
 double ExactQuantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  return QuantileSorted(values, q);
+  return SelectQuantiles(values, {q})[0];
+}
+
+MetricAggregate SummaryAggregate(const std::string& name, const Summary& summary) {
+  MetricAggregate agg;
+  agg.metric = name;
+  agg.count = summary.count();
+  agg.mean = summary.mean();
+  agg.stddev = summary.stddev();
+  agg.ci95_half = summary.count() > 1
+                      ? StudentT95(summary.count() - 1) * summary.stddev() /
+                            std::sqrt(static_cast<double>(summary.count()))
+                      : 0.0;
+  agg.min = summary.min();
+  agg.max = summary.max();
+  return agg;
+}
+
+MetricAggregate ExactAggregate(const std::string& name, std::vector<double> values) {
+  // Welford first: the mean and stddev bytes depend on the row order, which
+  // the selection destroys.
+  Summary summary;
+  for (double v : values) {
+    summary.Add(v);
+  }
+  MetricAggregate agg = SummaryAggregate(name, summary);
+  const std::array<double, 2> quantiles = SelectQuantiles(values, {0.50, 0.95});
+  agg.p50 = quantiles[0];
+  agg.p95 = quantiles[1];
+  return agg;
 }
 
 ResultSink::ResultSink(size_t replications)
@@ -124,35 +170,17 @@ std::vector<MetricAggregate> ResultSink::Aggregate() const {
 
 std::vector<MetricAggregate> ResultSink::AggregateReplications(
     const std::vector<ReplicationResult>& replications) {
-  // The rows are all in memory, so quantiles are exact: collect each
-  // metric's values alongside its running summary.
-  std::map<std::string, std::pair<Summary, std::vector<double>>> by_metric;
+  // Metrics absent from a replication simply have no value from it.
+  std::map<std::string, std::vector<double>> by_metric;
   for (const ReplicationResult& rep : replications) {
     for (const auto& [name, value] : rep.metrics) {
-      auto& [summary, values] = by_metric[name];
-      summary.Add(value);
-      values.push_back(value);
+      by_metric[name].push_back(value);
     }
   }
   std::vector<MetricAggregate> out;
   out.reserve(by_metric.size());
-  for (auto& [name, entry] : by_metric) {
-    auto& [summary, values] = entry;
-    MetricAggregate agg;
-    agg.metric = name;
-    agg.count = summary.count();
-    agg.mean = summary.mean();
-    agg.stddev = summary.stddev();
-    agg.ci95_half = summary.count() > 1
-                        ? StudentT95(summary.count() - 1) * summary.stddev() /
-                              std::sqrt(static_cast<double>(summary.count()))
-                        : 0.0;
-    agg.min = summary.min();
-    agg.max = summary.max();
-    std::sort(values.begin(), values.end());
-    agg.p50 = QuantileSorted(values, 0.50);
-    agg.p95 = QuantileSorted(values, 0.95);
-    out.push_back(std::move(agg));
+  for (auto& [name, values] : by_metric) {
+    out.push_back(ExactAggregate(name, std::move(values)));
   }
   return out;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "runner/scenario.h"
+#include "stats/summary.h"
 
 namespace wlansim {
 
@@ -26,11 +27,24 @@ struct MetricAggregate {
   double p95 = 0.0;  // exact 95th percentile over the stored replications
 };
 
+// The one exact aggregation of a metric column, shared by the campaign and
+// sweep writers, `wlansim_results aggregate` and the query server so their
+// bytes agree. `values` is the column in replication (row) order; callers
+// move their buffer in. The Welford fields come from that order, then
+// p50/p95 are found by selection, reordering `values` in place.
+MetricAggregate ExactAggregate(const std::string& name, std::vector<double> values);
+
+// The Welford fields of an aggregate (count, mean, stddev, Student-t CI95,
+// min, max) from a summary of the metric's values; p50/p95 are left 0.
+// The online aggregator fills them with its P-square estimates.
+MetricAggregate SummaryAggregate(const std::string& name, const Summary& summary);
+
 // Exact sample quantile with linear interpolation between order statistics
 // (the R type-7 / NumPy default): for n values, rank h = (n-1)q, result is
-// v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]). `values`
-// need not be sorted; it is copied. Returns 0 for an empty sample. Exposed
-// for the quantile-math tests.
+// v[floor(h)] + (h - floor(h)) * (v[floor(h)+1] - v[floor(h)]) over the
+// values in ascending order, NaNs last (NumPy's sort order), so a rank past
+// the numbers reads NaN. Found by selection, as in ExactAggregate. Returns 0
+// for an empty sample. Exposed for the quantile-math tests.
 double ExactQuantile(std::vector<double> values, double q);
 
 // Two-sided 95 % Student-t critical value for `df` degrees of freedom
@@ -79,7 +93,8 @@ class ResultSink {
   // replications that do report them.
   std::vector<MetricAggregate> Aggregate() const;
 
-  // The exact aggregation underlying Aggregate(), over any row vector; the
+  // The exact aggregation underlying Aggregate(), over any row vector: each
+  // metric's values in replication order, folded by ExactAggregate. The
   // in-memory pipeline consumer shares it so batch and exact-streamed
   // aggregates are the same numbers, hence the same bytes.
   static std::vector<MetricAggregate> AggregateReplications(

@@ -350,9 +350,7 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     if (completed[p].fetch_add(1, std::memory_order_acq_rel) + 1 == reps) {
       collector.pipeline.End();
       std::vector<MetricAggregate> aggregates =
-          options.stream ? collector.online.Aggregates()
-                         : ResultSink::AggregateReplications(
-                               collector.memory.ToReplicationResults());
+          options.stream ? collector.online.Aggregates() : collector.memory.Aggregates();
       collectors[p].reset();
       if (options.retain_points) {
         result.points[p].aggregates = aggregates;

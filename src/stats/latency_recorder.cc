@@ -1,5 +1,6 @@
 #include "stats/latency_recorder.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace wlansim {
@@ -18,26 +19,21 @@ std::string LatencyRecorder::Report() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string text;
   for (const auto& [name, track] : tracks_) {
+    // A bin estimate can fall outside the samples (an over/underflow bucket
+    // reads as the range edge), but the exact extremes bound every quantile.
+    const auto quantile = [&track = track](double q) {
+      return std::clamp(track.histogram.Quantile(q), track.summary.min(), track.summary.max());
+    };
     char line[256];
     std::snprintf(line, sizeof(line),
                   "latency %s: count=%llu mean=%.1f min=%.1f max=%.1f p50=%.1f p90=%.1f "
                   "p99=%.1f\n",
                   name.c_str(), static_cast<unsigned long long>(track.summary.count()),
-                  track.summary.mean(), track.summary.min(), track.summary.max(),
-                  track.histogram.Quantile(0.50), track.histogram.Quantile(0.90),
-                  track.histogram.Quantile(0.99));
+                  track.summary.mean(), track.summary.min(), track.summary.max(), quantile(0.50),
+                  quantile(0.90), quantile(0.99));
     text += line;
   }
   return text;
-}
-
-uint64_t LatencyRecorder::TotalCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [name, track] : tracks_) {
-    total += track.summary.count();
-  }
-  return total;
 }
 
 }  // namespace wlansim

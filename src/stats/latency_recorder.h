@@ -31,11 +31,10 @@ class LatencyRecorder {
 
   // One line per tracked name, sorted:
   //   latency <name>: count=N mean=M min=.. max=.. p50=.. p90=.. p99=..
-  // The quantiles are interpolated histogram-bin estimates; count/mean/
-  // min/max are exact. Empty string when nothing was recorded.
+  // The quantiles are interpolated histogram-bin estimates clamped to the
+  // exact [min, max]; count/mean/min/max are exact. Empty string when
+  // nothing was recorded.
   std::string Report() const;
-
-  uint64_t TotalCount() const;
 
  private:
   struct Track {

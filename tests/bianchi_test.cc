@@ -99,7 +99,11 @@ TEST_P(BianchiVsSimulation, SaturationThroughputAgrees) {
 
 INSTANTIATE_TEST_SUITE_P(StationSweep, BianchiVsSimulation,
                          ::testing::Values(1u, 2u, 5u, 10u, 20u),
-                         [](const auto& info) { return "n" + std::to_string(info.param); });
+                         [](const auto& info) {
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace wlansim

@@ -23,14 +23,6 @@
 namespace wlansim {
 namespace {
 
-std::vector<uint8_t> Bytes(std::initializer_list<int> list) {
-  std::vector<uint8_t> v;
-  for (int x : list) {
-    v.push_back(static_cast<uint8_t>(x));
-  }
-  return v;
-}
-
 std::vector<uint8_t> FromHex(const char* hex) {
   std::vector<uint8_t> out;
   for (size_t i = 0; hex[i] != 0 && hex[i + 1] != 0; i += 2) {

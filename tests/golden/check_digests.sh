@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Golden-digest check: regenerates every scenario's campaign, per-replication
-# and sweep CSV with tools/scenario_outputs.sh and compares their SHA-256
-# digests with the committed manifest, tests/golden/digests.txt. Any
-# difference — a changed byte, a missing or an extra CSV — fails the check
-# and prints the differing manifest lines.
+# and sweep CSV, plus pipeline_probe's large campaign and sweep (thousands of
+# replications per exact aggregate), with tools/scenario_outputs.sh and
+# compares their SHA-256 digests with the committed manifest,
+# tests/golden/digests.txt. Any difference — a changed byte, a missing or an
+# extra CSV — fails the check and prints the differing manifest lines.
 #
 # Usage: check_digests.sh <wlansim_run binary> <scratch dir>
 #

@@ -81,7 +81,7 @@ TEST(Integration, AdhocPeersExchangeTraffic) {
 TEST(Integration, ApBridgesBetweenStations) {
   Network net(Network::Params{.seed = 5});
   net.UseLogDistanceLoss(3.0);
-  Node* ap = net.AddNode({.role = MacRole::kAp, .standard = PhyStandard::k80211b});
+  net.AddNode({.role = MacRole::kAp, .standard = PhyStandard::k80211b});
   Node* sta1 = net.AddNode(
       {.role = MacRole::kSta, .standard = PhyStandard::k80211b, .position = {10, 0, 0}});
   Node* sta2 = net.AddNode(

@@ -281,8 +281,7 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
     }
     std::vector<double> values;
     ReadScalarColumn(ref.group(), column, &values);
-    expected += ResultSink::SweepLongCsvRows(
-        h.param_values, {AggregateScalarSamples("value_0", values)});
+    expected += ResultSink::SweepLongCsvRows(h.param_values, {ExactAggregate("value_0", values)});
   }
   EXPECT_EQ(
       RunQuery(fx.catalog, "SELECT value_0 FROM pipeline_probe:sweep WHERE n_metrics=2"),
@@ -304,8 +303,8 @@ TEST(QueryEngine, WhereAndGroupByMatchManualPerPointAggregation) {
   }
   std::string grouped = ResultSink::SweepLongCsvHeader({"samples"}, /*approx=*/false);
   for (const char* samples : {"8", "32"}) {  // first-appearance order: point 0 has samples=8
-    grouped += ResultSink::SweepLongCsvRows(
-        {samples}, {AggregateScalarSamples("value_0", buckets.at(samples))});
+    const MetricAggregate pooled = ExactAggregate("value_0", buckets.at(samples));
+    grouped += ResultSink::SweepLongCsvRows({samples}, {pooled});
   }
   EXPECT_EQ(RunQuery(fx.catalog,
                      "SELECT value_0 FROM pipeline_probe:sweep GROUP BY samples"),

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -12,6 +17,7 @@
 #include "runner/result_sink.h"
 #include "runner/scenario.h"
 #include "runner/scenario_registry.h"
+#include "stats/summary.h"
 
 namespace wlansim {
 namespace {
@@ -160,6 +166,35 @@ TEST(ResultSinkTest, ExactQuantileMath) {
   EXPECT_DOUBLE_EQ(ExactQuantile({1.0, 2.0}, 2.0), 2.0);
 }
 
+TEST(ResultSinkTest, NaNsRankAboveEveryNumber) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // 1..10 shuffled plus one NaN, which ranks last (rank 10). q = 0.5 reads
+  // rank 5; q = 0.85 interpolates between 9 and 10; q = 0.95 between 10 and
+  // the NaN.
+  const std::vector<double> v = {7.0, nan, 3.0, 10.0, 1.0, 9.0, 5.0, 2.0, 8.0, 4.0, 6.0};
+  EXPECT_DOUBLE_EQ(ExactQuantile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(ExactQuantile(v, 0.5), 6.0);
+  EXPECT_DOUBLE_EQ(ExactQuantile(v, 0.85), 9.5);
+  EXPECT_TRUE(std::isnan(ExactQuantile(v, 0.95)));
+  EXPECT_TRUE(std::isnan(ExactQuantile(v, 1.0)));
+  // Ranks 0 and 1 are numbers. The interpolation reads rank lo+1 even at
+  // weight 0, so at h = 1 the NaN at rank 2 reads NaN.
+  const std::vector<double> w = {nan, 4.0, nan, 2.0};
+  EXPECT_DOUBLE_EQ(ExactQuantile(w, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(ExactQuantile(w, 0.25), 3.5);
+  EXPECT_TRUE(std::isnan(ExactQuantile(w, 1.0 / 3.0)));
+  EXPECT_TRUE(std::isnan(ExactQuantile({nan}, 0.5)));
+
+  // p50 reads rank 2; p95 interpolates between 4 and the NaN.
+  const MetricAggregate a = ExactAggregate("x", {2.0, nan, 1.0, 3.0, 4.0});
+  EXPECT_EQ(a.count, 5u);
+  EXPECT_DOUBLE_EQ(a.min, 1.0);
+  EXPECT_DOUBLE_EQ(a.max, 4.0);
+  EXPECT_DOUBLE_EQ(a.p50, 3.0);
+  EXPECT_TRUE(std::isnan(a.p95));
+  EXPECT_TRUE(std::isnan(a.mean));
+}
+
 TEST(ResultSinkTest, AggregateQuantiles) {
   ResultSink sink(5);
   for (size_t i = 0; i < 5; ++i) {
@@ -171,6 +206,186 @@ TEST(ResultSinkTest, AggregateQuantiles) {
   ASSERT_EQ(aggregates.size(), 1u);
   EXPECT_DOUBLE_EQ(aggregates[0].p50, 3.0);
   EXPECT_DOUBLE_EQ(aggregates[0].p95, 4.8);
+}
+
+// --- Exact aggregation against the sort it replaced ---------------------------
+
+// The sort-based quantile that selection replaced, kept as the reference:
+// ascending order with NaNs last (a strict weak order, which operator< is
+// not once a NaN is present), then type-7 interpolation.
+double SortedQuantile(std::vector<double> values, double q) {
+  const auto nans_last = [](double a, double b) { return std::isnan(b) ? !std::isnan(a) : a < b; };
+  std::sort(values.begin(), values.end(), nans_last);
+  if (values.empty()) {
+    return 0.0;
+  }
+  const double h = static_cast<double>(values.size() - 1) * std::clamp(q, 0.0, 1.0);
+  const size_t lo = static_cast<size_t>(h);
+  if (lo + 1 >= values.size()) {
+    return values.back();
+  }
+  const double frac = h - static_cast<double>(lo);
+  return values[lo] + frac * (values[lo + 1] - values[lo]);
+}
+
+// The whole aggregate as it was computed before selection: Welford over
+// row order, the Student-t CI, and sorted quantiles.
+MetricAggregate SortedAggregate(const std::string& name, const std::vector<double>& values) {
+  Summary summary;
+  for (double v : values) {
+    summary.Add(v);
+  }
+  MetricAggregate agg;
+  agg.metric = name;
+  agg.count = summary.count();
+  agg.mean = summary.mean();
+  agg.stddev = summary.stddev();
+  agg.ci95_half = summary.count() > 1
+                      ? StudentT95(summary.count() - 1) * summary.stddev() /
+                            std::sqrt(static_cast<double>(summary.count()))
+                      : 0.0;
+  agg.min = summary.min();
+  agg.max = summary.max();
+  agg.p50 = SortedQuantile(values, 0.50);
+  agg.p95 = SortedQuantile(values, 0.95);
+  return agg;
+}
+
+// Bit-for-bit equality, except that any two NaNs match: IEEE 754 leaves
+// the sign and payload of a NaN result unspecified, and when two NaN
+// operands meet (a data NaN and inf - inf) the compiler's operand order
+// picks which one survives.
+bool SameBits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameAggregate(const MetricAggregate& got, const MetricAggregate& want) {
+  EXPECT_EQ(got.metric, want.metric);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_TRUE(SameBits(got.mean, want.mean)) << got.mean << " vs " << want.mean;
+  EXPECT_TRUE(SameBits(got.stddev, want.stddev)) << got.stddev << " vs " << want.stddev;
+  EXPECT_TRUE(SameBits(got.ci95_half, want.ci95_half));
+  EXPECT_TRUE(SameBits(got.min, want.min));
+  EXPECT_TRUE(SameBits(got.max, want.max));
+  EXPECT_TRUE(SameBits(got.p50, want.p50)) << got.p50 << " vs " << want.p50;
+  EXPECT_TRUE(SameBits(got.p95, want.p95)) << got.p95 << " vs " << want.p95;
+}
+
+void ExpectSameQuantiles(const std::vector<double>& column) {
+  for (double q : {0.0, 0.01, 0.25, 0.5, 0.95, 0.999}) {
+    EXPECT_TRUE(SameBits(ExactQuantile(column, q), SortedQuantile(column, q))) << "q=" << q;
+  }
+  // q = 1 returns the largest value as stored, not through the
+  // interpolation; when that is a zero, which zero is as unspecified as the
+  // sort's order of equal values, so only the value must match.
+  const double max = ExactQuantile(column, 1.0);
+  const double want = SortedQuantile(column, 1.0);
+  EXPECT_TRUE((std::isnan(max) && std::isnan(want)) || max == want) << max << " vs " << want;
+}
+
+// A seeded column built to trip up order statistics: about half its values
+// come from a small pool (heavy duplicates, both zeros, both infinities,
+// denormals), the rest are distinct normals. With `with_nan`, about one in
+// twenty is a NaN.
+std::vector<double> TrickyColumn(Rng& rng, size_t n, bool with_nan) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double tiny = std::numeric_limits<double>::min();
+  const double pool[] = {0.0, -0.0, 0.0, -0.0, 1.0, -2.5, inf, -inf, denorm, -denorm, tiny};
+  const int64_t pool_size = static_cast<int64_t>(std::size(pool));
+  std::vector<double> column;
+  column.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (with_nan && rng.Chance(0.05)) {
+      column.push_back(std::numeric_limits<double>::quiet_NaN());
+    } else if (rng.Chance(0.5)) {
+      column.push_back(pool[rng.UniformInt(0, pool_size - 1)]);
+    } else {
+      column.push_back(rng.Normal(0.0, 10.0));
+    }
+  }
+  return column;
+}
+
+TEST(ExactAggregateTest, SelectionMatchesTheSortBitwise) {
+  Rng rng(2024);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 300; ++n) {
+    sizes.push_back(n);
+  }
+  for (size_t n : {511, 512, 1000, 4097, 20000, 100000}) {
+    sizes.push_back(n);
+  }
+  for (size_t n : sizes) {
+    for (int kind = 0; kind < 3; ++kind) {
+      // kind 0: distinct values; 1: tricky values; 2: tricky values and NaNs.
+      std::vector<double> column;
+      if (kind == 0) {
+        for (size_t i = 0; i < n; ++i) {
+          column.push_back(rng.Uniform(-1.0, 1.0));
+        }
+      } else {
+        column = TrickyColumn(rng, n, kind == 2);
+      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " kind=" + std::to_string(kind));
+      ExpectSameAggregate(ExactAggregate("m", column), SortedAggregate("m", column));
+      ExpectSameQuantiles(column);
+    }
+  }
+}
+
+TEST(ExactAggregateTest, SelectionMatchesTheSortOnOrderedColumns) {
+  // Large columns in orders that stress a selection: sorted either way,
+  // periodic, organ-pipe, and columns of one or two distinct values.
+  const size_t n = 20000;
+  std::vector<std::vector<double>> columns(9, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    columns[0][i] = x;
+    columns[1][i] = -x;
+    columns[2][i] = static_cast<double>(i % 16);
+    columns[3][i] = i % 16 == 0 ? -x : x;
+    columns[4][i] = static_cast<double>(i % 7);
+    columns[5][i] = static_cast<double>(std::min(i, n - i));
+    columns[6][i] = 3.0;
+    columns[7][i] = i % 2 == 0 ? 0.0 : -0.0;
+    columns[8][i] = i < n / 2 ? 1.0 : 2.0;
+  }
+  for (size_t c = 0; c < columns.size(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    ExpectSameAggregate(ExactAggregate("m", columns[c]), SortedAggregate("m", columns[c]));
+    ExpectSameQuantiles(columns[c]);
+  }
+}
+
+TEST(ExactAggregateTest, RaggedReplicationsFoldPerColumn) {
+  // Replications that each report only some metrics: AggregateReplications
+  // must equal ExactAggregate over each metric's values in replication
+  // order, skipping the replications that lack it.
+  Rng rng(77);
+  std::vector<ReplicationResult> replications(257);
+  std::map<std::string, std::vector<double>> columns;
+  for (size_t i = 0; i < replications.size(); ++i) {
+    for (const char* name : {"a", "b", "c"}) {
+      if (rng.Chance(0.7)) {
+        const double v = TrickyColumn(rng, 1, false).front();
+        replications[i].metrics[name] = v;
+        columns[name].push_back(v);
+      }
+    }
+  }
+  replications[5].metrics["only_once"] = 42.0;
+  columns["only_once"].push_back(42.0);
+
+  const std::vector<MetricAggregate> aggregates = ResultSink::AggregateReplications(replications);
+  ASSERT_EQ(aggregates.size(), columns.size());
+  size_t i = 0;
+  for (const auto& [name, column] : columns) {
+    SCOPED_TRACE(name);
+    ExpectSameAggregate(aggregates[i], ExactAggregate(name, column));
+    ExpectSameAggregate(aggregates[i], SortedAggregate(name, column));
+    ++i;
+  }
 }
 
 TEST(ResultSinkTest, CsvHeadersAreStable) {

@@ -8,6 +8,7 @@
 #include "core/packet.h"
 #include "stats/flow_stats.h"
 #include "stats/histogram.h"
+#include "stats/latency_recorder.h"
 #include "stats/summary.h"
 #include "stats/table.h"
 #include "stats/time_series.h"
@@ -73,6 +74,22 @@ TEST(Histogram, MedianOfUniformData) {
 TEST(Histogram, EmptyQuantileIsLowerBound) {
   Histogram h(5.0, 1.0, 10);
   EXPECT_EQ(h.Quantile(0.5), 5.0);
+}
+
+TEST(LatencyRecorder, QuantilesStayWithinTheSamples) {
+  // The query server's geometry: 2000 bins of 50 us, so [0, 100 ms).
+  LatencyRecorder recorder(0.0, 50.0, 2000);
+  // Every AGGREGATE sample is past the bins: the overflow bucket alone
+  // would report the 100 ms range edge, below the fastest sample.
+  for (double us : {468442.5, 500000.0, 600000.0}) {
+    recorder.Record("AGGREGATE", us);
+  }
+  // One in-range sample: interpolating inside its bin would overshoot it.
+  recorder.Record("SELECT", 10.0);
+  EXPECT_EQ(recorder.Report(),
+            "latency AGGREGATE: count=3 mean=522814.2 min=468442.5 max=600000.0 "
+            "p50=468442.5 p90=468442.5 p99=468442.5\n"
+            "latency SELECT: count=1 mean=10.0 min=10.0 max=10.0 p50=10.0 p90=10.0 p99=10.0\n");
 }
 
 TEST(FlowStats, GoodputAndLoss) {

@@ -5,7 +5,9 @@
 # (or every registered scenario when none is named), one short campaign
 # (aggregate CSV + per-replication CSV) and one two-point sweep CSV, with
 # fixed seeds and shortened simulated time so the whole matrix runs in
-# about a second.
+# about a second. pipeline_probe also gets one large campaign and one large
+# sweep (thousands of replications per aggregate, about 30 ms together) so
+# the exact-quantile fold is pinned at real sample sizes, not only at n = 2.
 #
 # Usage: scenario_outputs.sh <wlansim_run binary> <output dir> [scenario...]
 #
@@ -68,6 +70,12 @@ for s in $scenarios; do
     # shellcheck disable=SC2086
     "$BIN" --scenario="$s" $extra --sweep "$axis" --reps=2 --seed=5 --jobs=0 \
       --quiet --csv="$OUT/$s-sweep.csv"
+  fi
+  if [ "$s" = pipeline_probe ]; then
+    "$BIN" --scenario="$s" --reps=5000 --no-stream --seed=5 --quiet \
+      --csv="$OUT/$s-large-campaign.csv"
+    "$BIN" --scenario="$s" --sweep n_metrics=1,2 --reps=1000 --seed=5 --jobs=0 --quiet \
+      --csv="$OUT/$s-large-sweep.csv"
   fi
 done
 
