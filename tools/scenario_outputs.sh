@@ -7,7 +7,10 @@
 # fixed seeds and shortened simulated time so the whole matrix runs in
 # about a second. pipeline_probe also gets one large campaign and one large
 # sweep (thousands of replications per aggregate, about 30 ms together) so
-# the exact-quantile fold is pinned at real sample sizes, not only at n = 2.
+# the exact-quantile fold is pinned at real sample sizes, not only at n = 2,
+# plus a --stream campaign (aggregate and per-replication CSV) and a
+# --stream sweep, which pin the online aggregation and the streamed writers.
+# saturation's campaign also writes its aggregates as JSON.
 #
 # Usage: scenario_outputs.sh <wlansim_run binary> <output dir> [scenario...]
 #
@@ -62,9 +65,13 @@ sweep_axis() {
 
 for s in $scenarios; do
   extra=$(short_params "$s")
+  json=""
+  if [ "$s" = saturation ]; then
+    json="--json=$OUT/$s-campaign.json"
+  fi
   # shellcheck disable=SC2086
   "$BIN" --scenario="$s" $extra --reps=2 --seed=5 --quiet \
-    --csv="$OUT/$s-campaign.csv" --reps-csv="$OUT/$s-reps.csv"
+    --csv="$OUT/$s-campaign.csv" --reps-csv="$OUT/$s-reps.csv" $json
   axis=$(sweep_axis "$s")
   if [ -n "$axis" ]; then
     # shellcheck disable=SC2086
@@ -76,7 +83,11 @@ for s in $scenarios; do
       --csv="$OUT/$s-large-campaign.csv"
     "$BIN" --scenario="$s" --sweep n_metrics=1,2 --reps=1000 --seed=5 --jobs=0 --quiet \
       --csv="$OUT/$s-large-sweep.csv"
+    "$BIN" --scenario="$s" --reps=2000 --stream --seed=5 --quiet \
+      --csv="$OUT/$s-stream-campaign.csv" --reps-csv="$OUT/$s-stream-reps.csv"
+    "$BIN" --scenario="$s" --sweep n_metrics=1,2 --reps=500 --stream --seed=5 --jobs=0 \
+      --quiet --csv="$OUT/$s-stream-sweep.csv"
   fi
 done
 
-echo "scenario_outputs: wrote $(ls "$OUT" | wc -l) CSVs to $OUT"
+echo "scenario_outputs: wrote $(ls "$OUT" | wc -l) files to $OUT"
