@@ -34,8 +34,8 @@ int Run(int argc, char** argv) {
   options.jobs = args.jobs;
   options.grid.AddAxis(ParseSweepAxis("standard=11b,11a"));
   options.grid.AddAxis(ParseSweepAxis("oven_distance=0,3,10,30,100"));
-  const SweepResult result = RunSweepCampaign(options);
-  if (!args.csv.empty() && !WriteSweepCsv(args.csv, result)) {
+  SweepResult result;
+  if (!RunSweepWithCsv(options, args.csv, &result)) {
     return 1;
   }
 

@@ -23,8 +23,10 @@ namespace {
 
 const char* kDistances = "distance=10,30,60,90,120,160,200,250";
 
-SweepResult RunFigureSweep(const SweepBenchArgs& args, const std::string& standard,
-                           bool fixed_rates) {
+// Runs one figure sweep into `*result`, streaming its CSV to
+// <--csv>.<standard>.<fixed|arf>.csv when --csv is set.
+bool RunFigureSweep(const SweepBenchArgs& args, const std::string& standard, bool fixed_rates,
+                    SweepResult* result) {
   SweepOptions options;
   options.scenario = "rate_vs_distance";
   options.base_params.Set("standard", standard);
@@ -40,7 +42,9 @@ SweepResult RunFigureSweep(const SweepBenchArgs& args, const std::string& standa
   } else {
     options.base_params.Set("controller", "arf");
   }
-  return RunSweepCampaign(options);
+  const std::string kind = fixed_rates ? ".fixed.csv" : ".arf.csv";
+  return RunSweepWithCsv(options, args.csv.empty() ? "" : args.csv + "." + standard + kind,
+                         result);
 }
 
 int Run(int argc, char** argv) {
@@ -51,11 +55,10 @@ int Run(int argc, char** argv) {
 
   Table table({"standard", "distance_m", "best_fixed", "best_fixed_mbps", "arf_mbps"});
   for (const std::string standard : {"11b", "11a"}) {
-    const SweepResult fixed = RunFigureSweep(args, standard, /*fixed_rates=*/true);
-    const SweepResult arf = RunFigureSweep(args, standard, /*fixed_rates=*/false);
-    if (!args.csv.empty() &&
-        (!WriteSweepCsv(args.csv + "." + standard + ".fixed.csv", fixed) ||
-         !WriteSweepCsv(args.csv + "." + standard + ".arf.csv", arf))) {
+    SweepResult fixed;
+    SweepResult arf;
+    if (!RunFigureSweep(args, standard, /*fixed_rates=*/true, &fixed) ||
+        !RunFigureSweep(args, standard, /*fixed_rates=*/false, &arf)) {
       return 1;
     }
 

@@ -31,8 +31,8 @@ int Run(int argc, char** argv) {
   options.jobs = args.jobs;
   options.grid.AddAxis(ParseSweepAxis("hidden=false,true"));
   options.grid.AddAxis(ParseSweepAxis("rtscts=false,true"));
-  const SweepResult result = RunSweepCampaign(options);
-  if (!args.csv.empty() && !WriteSweepCsv(args.csv, result)) {
+  SweepResult result;
+  if (!RunSweepWithCsv(options, args.csv, &result)) {
     return 1;
   }
 

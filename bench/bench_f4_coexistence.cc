@@ -29,8 +29,8 @@ int Run(int argc, char** argv) {
   options.jobs = args.jobs;
   options.grid.AddAxis(ParseSweepAxis("with_b_sta=false,true"));
   options.grid.AddAxis(ParseSweepAxis("protection=false,true"));
-  const SweepResult result = RunSweepCampaign(options);
-  if (!args.csv.empty() && !WriteSweepCsv(args.csv, result)) {
+  SweepResult result;
+  if (!RunSweepWithCsv(options, args.csv, &result)) {
     return 1;
   }
 

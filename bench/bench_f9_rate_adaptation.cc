@@ -48,14 +48,14 @@ int Run(int argc, char** argv) {
   const size_t n_modes = ModesFor(PhyStandard::k80211a).size();
   fixed_options.grid.AddAxis(
       ParseSweepAxis("rate_index=0:" + std::to_string(n_modes - 1) + ":1"));
-  const SweepResult fixed = RunSweepCampaign(fixed_options);
-
   SweepOptions adaptive_options = BaseOptions(args);
   adaptive_options.grid.AddAxis(ParseSweepAxis("controller=arf,aarf,onoe,samplerate,minstrel"));
-  const SweepResult adaptive = RunSweepCampaign(adaptive_options);
 
-  if (!args.csv.empty() && (!WriteSweepCsv(args.csv + ".fixed.csv", fixed) ||
-                            !WriteSweepCsv(args.csv + ".adaptive.csv", adaptive))) {
+  SweepResult fixed;
+  SweepResult adaptive;
+  const bool csv = !args.csv.empty();
+  if (!RunSweepWithCsv(fixed_options, csv ? args.csv + ".fixed.csv" : "", &fixed) ||
+      !RunSweepWithCsv(adaptive_options, csv ? args.csv + ".adaptive.csv" : "", &adaptive)) {
     return 1;
   }
 

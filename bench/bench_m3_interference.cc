@@ -23,7 +23,7 @@
 #include "core/units.h"
 #include "phy/error_model.h"
 #include "phy/interference.h"
-#include "phy/interference_reference.h"
+#include "tests/support/interference_reference.h"
 #include "phy/wifi_mode.h"
 
 namespace wlansim {

@@ -87,14 +87,25 @@ inline std::string PointValue(const SweepPointResult& point, const std::string& 
   return std::string();
 }
 
-inline bool WriteSweepCsv(const std::string& path, const SweepResult& result) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
+// Runs the sweep into `*result`. When `csv_path` is set, the long-format
+// CSV streams there through a StreamingSweepCsvWriter while the sweep runs.
+// Returns false (after printing why) when the file cannot be opened.
+inline bool RunSweepWithCsv(SweepOptions options, const std::string& csv_path,
+                            SweepResult* result) {
+  std::ofstream out;
+  StreamingSweepCsvWriter writer(out);
+  if (!csv_path.empty()) {
+    out.open(csv_path, std::ios::binary);
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+      return false;
+    }
+    options.point_sinks.push_back(&writer);
   }
-  out << SweepResultToCsv(result);
-  std::printf("wrote %s\n", path.c_str());
+  *result = RunSweepCampaign(options);
+  if (!csv_path.empty()) {
+    std::printf("wrote %s\n", csv_path.c_str());
+  }
   return true;
 }
 

@@ -1,10 +1,11 @@
 // A small in-tree perf harness for the engine microbenchmarks, replacing the
 // google-benchmark dependency on the hot-path benches. Each benchmark is a
 // callable that performs one timed batch of work and returns the number of
-// items it processed; the harness repeats it, stores per-repetition metrics
-// in a ResultSink, and emits the same aggregate statistics (mean / stddev /
-// CI / P50 / P95) and long-format CSV the campaign engine produces — so the
-// repo measures its own speedups with its own reporting machinery.
+// items it processed; the harness repeats it, folds each per-repetition
+// metric with ExactAggregate, and emits the same aggregate statistics
+// (mean / stddev / CI / P50 / P95) and long-format CSV the campaign engine
+// produces — so the repo measures its own speedups with its own reporting
+// machinery.
 
 #ifndef WLANSIM_BENCH_PERF_HARNESS_H_
 #define WLANSIM_BENCH_PERF_HARNESS_H_
@@ -93,23 +94,28 @@ class PerfHarness {
     if (args_.warmup) {
       (void)fn();  // touch caches and lazy allocations outside the timing
     }
-    ResultSink sink(args_.reps);
+    // Per-metric columns in repetition order; a batch that reports no items
+    // adds no per-item values.
+    std::vector<double> items_per_sec;
+    std::vector<double> ns_per_item;
+    std::vector<double> wall_ms;
     for (uint64_t rep = 0; rep < args_.reps; ++rep) {
       const auto start = std::chrono::steady_clock::now();
       const uint64_t items = fn();
       const auto end = std::chrono::steady_clock::now();
       const double secs = std::chrono::duration<double>(end - start).count();
-      ReplicationResult r;
-      r.metrics["wall_ms"] = secs * 1e3;
+      wall_ms.push_back(secs * 1e3);
       if (items > 0) {
-        r.metrics["ns_per_item"] = secs * 1e9 / static_cast<double>(items);
-        r.metrics["items_per_sec"] = static_cast<double>(items) / secs;
+        ns_per_item.push_back(secs * 1e9 / static_cast<double>(items));
+        items_per_sec.push_back(static_cast<double>(items) / secs);
       }
-      sink.Store(rep, std::move(r));
     }
-    SweepRow row;
-    row.param_values = {name};
-    row.aggregates = sink.Aggregate();
+    Row row{name, {}};
+    if (!items_per_sec.empty()) {
+      row.aggregates.push_back(ExactAggregate("items_per_sec", std::move(items_per_sec)));
+      row.aggregates.push_back(ExactAggregate("ns_per_item", std::move(ns_per_item)));
+    }
+    row.aggregates.push_back(ExactAggregate("wall_ms", std::move(wall_ms)));
     rows_.push_back(std::move(row));
   }
 
@@ -119,25 +125,13 @@ class PerfHarness {
     std::printf("=== %s (%llu rep(s)/bench) ===\n", title_.c_str(),
                 static_cast<unsigned long long>(args_.reps));
     Table table({"bench", "items/s", "ns/item", "p50_ns", "p95_ns", "wall_ms"});
-    for (const SweepRow& row : rows_) {
-      const MetricAggregate* per_item = nullptr;
-      const MetricAggregate* per_sec = nullptr;
-      const MetricAggregate* wall = nullptr;
-      for (const MetricAggregate& a : row.aggregates) {
-        if (a.metric == "ns_per_item") {
-          per_item = &a;
-        } else if (a.metric == "items_per_sec") {
-          per_sec = &a;
-        } else if (a.metric == "wall_ms") {
-          wall = &a;
-        }
-      }
-      table.AddRow({row.param_values[0],
-                    per_sec != nullptr ? Table::Num(per_sec->mean, 0) : "-",
-                    per_item != nullptr ? Table::Num(per_item->mean, 1) : "-",
-                    per_item != nullptr ? Table::Num(per_item->p50, 1) : "-",
-                    per_item != nullptr ? Table::Num(per_item->p95, 1) : "-",
-                    wall != nullptr ? Table::Num(wall->mean, 2) : "-"});
+    for (const Row& row : rows_) {
+      const bool per_item = row.aggregates.size() == 3;
+      table.AddRow({row.name, per_item ? Table::Num(row.aggregates[0].mean, 0) : "-",
+                    per_item ? Table::Num(row.aggregates[1].mean, 1) : "-",
+                    per_item ? Table::Num(row.aggregates[1].p50, 1) : "-",
+                    per_item ? Table::Num(row.aggregates[1].p95, 1) : "-",
+                    Table::Num(row.aggregates.back().mean, 2)});
     }
     std::fputs(table.ToString().c_str(), stdout);
     if (!args_.csv.empty()) {
@@ -146,16 +140,26 @@ class PerfHarness {
         std::fprintf(stderr, "cannot write %s\n", args_.csv.c_str());
         return 1;
       }
-      out << ResultSink::SweepLongCsv({"bench"}, rows_);
+      out << ResultSink::SweepLongCsvHeader({"bench"}, false);
+      for (const Row& row : rows_) {
+        out << ResultSink::SweepLongCsvRows({row.name}, row.aggregates);
+      }
       std::printf("wrote %s\n", args_.csv.c_str());
     }
     return 0;
   }
 
  private:
+  // One benchmark's aggregates, ordered by metric name: items_per_sec,
+  // ns_per_item, wall_ms, or only wall_ms when no batch reported items.
+  struct Row {
+    std::string name;
+    std::vector<MetricAggregate> aggregates;
+  };
+
   std::string title_;
   PerfArgs args_;
-  std::vector<SweepRow> rows_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace wlansim

@@ -116,6 +116,6 @@ int main() {
   }
   std::fputs(table.ToString().c_str(), stdout);
   std::printf("\n%llu replications; printer associated as 802.11b legacy device\n",
-              static_cast<unsigned long long>(result.replications.size()));
+              static_cast<unsigned long long>(result.replication_count));
   return 0;
 }

@@ -50,7 +50,7 @@ int main() {
   options.jobs = 0;  // all hardware threads
   const CampaignResult campaign = RunCampaign(options);
   std::printf("campaign: %llu replications of '%s'\n",
-              static_cast<unsigned long long>(campaign.replications.size()),
+              static_cast<unsigned long long>(campaign.replication_count),
               campaign.scenario.c_str());
   for (const MetricAggregate& a : campaign.aggregates) {
     std::printf("  %-14s %.3f ± %.3f\n", a.metric.c_str(), a.mean, a.ci95_half);

@@ -128,6 +128,6 @@ int main() {
   std::printf(
       "\n%llu replications. The sensor dozes between beacons (sleep %% above)\n"
       "while the always-on handset burns several times the radio energy.\n",
-      static_cast<unsigned long long>(result.replications.size()));
+      static_cast<unsigned long long>(result.replication_count));
   return 0;
 }

@@ -19,10 +19,10 @@
 // Bit-exact reproducibility contract: every power total is accumulated over
 // the active signals in ascending-id (arrival) order — the same left fold
 // the pre-sweep-line tracker used — so all query results are bit-identical
-// to ReferenceInterferenceTracker (interference_reference.h). During a
-// window sweep the running sum is updated incrementally only where that is
-// exactly the same fold (appending the newest-id signal); any other active-
-// set change re-folds the (small) active array. The randomized differential
+// to ReferenceInterferenceTracker (tests/support/interference_reference.h).
+// During a window sweep the running sum is updated incrementally only where
+// that is exactly the same fold (appending the newest-id signal); any other
+// active-set change re-folds the (small) active array. The randomized differential
 // tests in tests/phy_test.cc compare the two implementations with EXACT
 // double equality; campaign results must not change by a ULP when only the
 // lookup strategy changes.

@@ -71,9 +71,9 @@ void MergeBinaryFiles(const std::vector<std::string>& input_paths, std::ostream&
 
 // Exports back to the text formats, byte-identical to what the run itself
 // would have written: a campaign file reproduces the per-replication CSV
-// (StreamingCsvWriter / ResultSink::ReplicationsToCsv), a sweep file
-// reproduces the long-format CSV (SweepResultToCsv), replaying the exact or
-// online aggregation according to the header's streamed flag.
+// (StreamingCsvWriter), a sweep file reproduces the long-format CSV
+// (StreamingSweepCsvWriter), replaying the exact or online aggregation
+// according to the header's streamed flag.
 std::string ExportBinaryCsv(const BinaryResultsFile& file);
 
 // Aggregates across files without materializing rows: per metric (and per

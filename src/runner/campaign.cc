@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -75,17 +76,11 @@ CampaignResult Campaign::Run(const CampaignOptions& options) const {
   manifest.replications = reps;
 
   ResultPipeline pipeline(manifest);
-  // Exactly one built-in aggregation consumer rides the pipeline: the
-  // in-memory exact one (default — byte-identical output to the batch
-  // collector it replaced), or the online one (streaming — O(metrics)
-  // memory, approximate quantiles).
-  InMemoryConsumer memory;
-  OnlineAggregator online;
-  if (options.stream) {
-    pipeline.AddConsumer(&online);
-  } else {
-    pipeline.AddConsumer(&memory);
-  }
+  // Exactly one built-in aggregation consumer rides the pipeline: the exact
+  // one (default) or the online one (streaming — O(metrics) memory,
+  // approximate quantiles).
+  const std::unique_ptr<AggregatingConsumer> aggregator = MakeAggregator(options.stream);
+  pipeline.AddConsumer(aggregator.get());
   for (ResultConsumer* consumer : options.consumers) {
     pipeline.AddConsumer(consumer);
   }
@@ -107,12 +102,7 @@ CampaignResult Campaign::Run(const CampaignOptions& options) const {
   result.base_seed = options.base_seed;
   result.replication_count = reps;
   result.streamed = options.stream;
-  if (options.stream) {
-    result.aggregates = online.Aggregates();
-  } else {
-    result.replications = memory.ToReplicationResults();
-    result.aggregates = ResultSink::AggregateReplications(result.replications);
-  }
+  result.aggregates = aggregator->Aggregates();
   return result;
 }
 

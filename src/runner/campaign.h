@@ -26,12 +26,10 @@ struct CampaignOptions {
   uint64_t replications = 1;
   // Worker threads; 0 = std::thread::hardware_concurrency().
   unsigned jobs = 1;
-  // Streaming mode: per-replication rows are not retained (CampaignResult::
-  // replications stays empty) and aggregates come from the online path —
-  // Welford summaries plus P-square p50/p95 in O(metrics) memory — so peak
-  // memory is independent of the replication count. Off by default: exact
-  // aggregation keeps the output byte-identical to the historical batch
-  // collector.
+  // Streaming mode: aggregates come from the online path — Welford
+  // summaries plus P-square p50/p95 in O(metrics) memory — so peak memory
+  // is independent of the replication count. Off by default: exact
+  // aggregation keeps every metric's values for exact quantiles.
   bool stream = false;
   // Extra consumers fanned out by the result pipeline (not owned, must
   // outlive Run). They see every ReplicationRecord in replication order, in
@@ -46,8 +44,7 @@ struct CampaignResult {
   // True when the campaign ran the online aggregation path: aggregates'
   // p50/p95 are P-square estimates and must be labeled approximate.
   bool streamed = false;
-  std::vector<ReplicationResult> replications;  // indexed by replication number; empty if streamed
-  std::vector<MetricAggregate> aggregates;      // ordered by metric name
+  std::vector<MetricAggregate> aggregates;  // ordered by metric name
 };
 
 // Runs `total` independent tasks (task(0) .. task(total-1)) on a pool of
@@ -71,7 +68,7 @@ class Campaign {
   // Each replication records through its own MetricRecorder (ctx.recorder)
   // and the resulting records flow through a ResultPipeline in replication
   // order to options.consumers plus the built-in aggregation consumer
-  // (exact in-memory by default, online when options.stream is set).
+  // (exact by default, online when options.stream is set).
   CampaignResult Run(const CampaignOptions& options) const;
 
  private:

@@ -35,10 +35,11 @@
 namespace wlansim {
 namespace {
 
-// Replication count at which the CLI switches to the streaming pipeline on
-// its own: beyond this, buffering every row is the memory hazard the
-// streaming path exists to avoid. --stream forces it earlier, --no-stream
-// forces exact batch aggregation regardless of size.
+// Replication count at which the CLI switches to online aggregation on its
+// own: beyond this, keeping every replication's values for the exact
+// quantiles is the memory hazard the streaming path exists to avoid.
+// --stream forces it earlier, --no-stream forces exact aggregation
+// regardless of size.
 constexpr uint64_t kAutoStreamReplications = 10000;
 
 void PrintUsage() {
@@ -61,9 +62,8 @@ void PrintUsage() {
       "  --csv=FILE          write the aggregate table as CSV (long format when\n"
       "                      sweeping: params...,metric,count,mean,stddev,...)\n"
       "  --json=FILE         write the aggregate table as JSON (no sweep mode)\n"
-      "  --reps-csv=FILE     write one CSV row per replication (no sweep mode);\n"
-      "                      in stream mode rows are appended as replications\n"
-      "                      complete instead of buffered\n"
+      "  --reps-csv=FILE     write one CSV row per replication (no sweep mode),\n"
+      "                      appended as replications complete\n"
       "  --binary-out=FILE   write the full per-replication record stream\n"
       "                      (metrics plus histogram snapshots) as a WLSR\n"
       "                      binary columnar file, in campaign and sweep mode\n"
@@ -71,15 +71,12 @@ void PrintUsage() {
       "                      aggregate it. Output bytes are identical for any\n"
       "                      --jobs value, and sweep shard files merge into\n"
       "                      exactly the unsharded file\n"
-      "  --stream            stream results instead of buffering them: rows go\n"
-      "                      to --reps-csv as they complete and aggregates use\n"
-      "                      online Welford + P-square quantiles in O(metrics)\n"
-      "                      memory (columns become p50_approx/p95_approx).\n"
-      "                      In sweep mode the long-format --csv streams too,\n"
-      "                      one grid point at a time, byte-identical to the\n"
-      "                      batch writer.\n"
+      "  --stream            aggregate online instead of keeping every\n"
+      "                      replication's values: Welford + P-square quantiles\n"
+      "                      in O(metrics) memory (columns become\n"
+      "                      p50_approx/p95_approx).\n"
       "                      Auto-enabled at >= %llu replications; --no-stream\n"
-      "                      forces exact batch aggregation back on\n"
+      "                      forces exact aggregation back on\n"
       "  --list              list registered scenarios\n"
       "  --version           print the build version and exit\n"
       "  --describe=NAME     show a scenario's parameters and defaults\n"
@@ -178,19 +175,18 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
   options.shard_count = shard_count;
   options.stream = base.stream;
 
-  // In stream mode the long CSV goes out through an ordered point sink, one
-  // grid point at a time, instead of assembling at sweep end — byte-identical
-  // to the batch writer below.
-  std::ofstream streamed_csv_out;
-  std::unique_ptr<StreamingSweepCsvWriter> streamed_csv_writer;
-  if (options.stream && !csv_path.empty()) {
-    streamed_csv_out.open(csv_path, std::ios::binary);
-    if (!streamed_csv_out) {
+  // The long CSV goes out through an ordered point sink, one grid point at a
+  // time, while the sweep runs.
+  std::ofstream csv_out;
+  std::unique_ptr<StreamingSweepCsvWriter> csv_writer;
+  if (!csv_path.empty()) {
+    csv_out.open(csv_path, std::ios::binary);
+    if (!csv_out) {
       std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
       return 1;
     }
-    streamed_csv_writer = std::make_unique<StreamingSweepCsvWriter>(streamed_csv_out);
-    options.point_sinks.push_back(streamed_csv_writer.get());
+    csv_writer = std::make_unique<StreamingSweepCsvWriter>(csv_out);
+    options.point_sinks.push_back(csv_writer.get());
   }
   std::ofstream binary_out;
   std::unique_ptr<BinarySweepWriter> binary_writer;
@@ -203,9 +199,9 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
     binary_writer = std::make_unique<BinarySweepWriter>(binary_out);
     options.point_sinks.push_back(binary_writer.get());
   }
-  // Per-point aggregates only need buffering for the stdout table and the
-  // batch CSV path; a quiet streamed sweep runs with O(in-flight) memory.
-  options.retain_points = !quiet || (!csv_path.empty() && !options.stream);
+  // Per-point aggregates only need buffering for the stdout table; a quiet
+  // sweep runs with O(in-flight) memory.
+  options.retain_points = !quiet;
 
   SweepResult result;
   try {
@@ -222,7 +218,7 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
     std::printf("=== %s sweep: %zu/%zu grid point(s) [shard %u/%u], %llu replication(s)/point, "
                 "base seed %llu ===\n",
                 result.scenario.c_str(), result.points.size(), options.grid.NumPoints(),
-                shard_index, shard_count, static_cast<unsigned long long>(result.replications),
+                shard_index, shard_count, static_cast<unsigned long long>(result.replication_count),
                 static_cast<unsigned long long>(result.base_seed));
     std::vector<std::string> header = result.param_keys;
     for (const char* col : {"metric", "count", "mean", "stddev", "ci95_half", "min", "max"}) {
@@ -246,10 +242,6 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
       }
     }
     std::fputs(table.ToString().c_str(), stdout);
-  }
-  if (!csv_path.empty() && streamed_csv_writer == nullptr &&
-      !WriteFileOrComplain(csv_path, SweepResultToCsv(result))) {
-    return 1;
   }
   if (verbose) {
     PrintHotPathStats();
@@ -379,7 +371,7 @@ int Main(int argc, char** argv) {
       options.replications >= kAutoStreamReplications) {
     std::fprintf(stderr,
                  "--binary-out with --no-stream at >= %llu replications would buffer every "
-                 "row for the exact aggregates while the binary file streams; drop "
+                 "value for the exact aggregates while the binary file streams; drop "
                  "--no-stream (the binary records are exact either way)\n",
                  static_cast<unsigned long long>(kAutoStreamReplications));
     return 1;
@@ -425,19 +417,19 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // In stream mode the per-replication CSV is written by a pipeline
-  // consumer while the campaign runs, so rows hit the disk as replications
-  // complete and are never all in memory at once.
-  std::ofstream streamed_reps_out;
-  std::unique_ptr<StreamingCsvWriter> streamed_reps_writer;
-  if (options.stream && !reps_csv_path.empty()) {
-    streamed_reps_out.open(reps_csv_path, std::ios::binary);
-    if (!streamed_reps_out) {
+  // The per-replication CSV is written by a pipeline consumer while the
+  // campaign runs, so rows hit the disk as replications complete and are
+  // never all in memory at once.
+  std::ofstream reps_out;
+  std::unique_ptr<StreamingCsvWriter> reps_writer;
+  if (!reps_csv_path.empty()) {
+    reps_out.open(reps_csv_path, std::ios::binary);
+    if (!reps_out) {
       std::fprintf(stderr, "cannot write %s\n", reps_csv_path.c_str());
       return 1;
     }
-    streamed_reps_writer = std::make_unique<StreamingCsvWriter>(streamed_reps_out);
-    options.consumers.push_back(streamed_reps_writer.get());
+    reps_writer = std::make_unique<StreamingCsvWriter>(reps_out);
+    options.consumers.push_back(reps_writer.get());
   }
 
   // The binary record stream rides the same pipeline in both modes: every
@@ -485,10 +477,6 @@ int Main(int argc, char** argv) {
                                                                    result.replication_count,
                                                                    result.aggregates,
                                                                    result.streamed))) {
-    return 1;
-  }
-  if (!reps_csv_path.empty() && !result.streamed &&
-      !WriteFileOrComplain(reps_csv_path, ResultSink::ReplicationsToCsv(result.replications))) {
     return 1;
   }
   if (verbose) {

@@ -110,6 +110,21 @@ void StreamingCsvWriter::EndCampaign() {
   }
 }
 
+void ExactAggregator::OnRecord(const ReplicationRecord& record) {
+  for (const auto& [name, value] : record.metrics) {
+    columns_[name].push_back(value);
+  }
+}
+
+std::vector<MetricAggregate> ExactAggregator::Aggregates() const {
+  std::vector<MetricAggregate> out;
+  out.reserve(columns_.size());
+  for (const auto& [name, values] : columns_) {
+    out.push_back(ExactAggregate(name, values));
+  }
+  return out;
+}
+
 void OnlineAggregator::OnRecord(const ReplicationRecord& record) {
   for (const auto& [name, value] : record.metrics) {
     MetricState& state = metrics_.try_emplace(name).first->second;
@@ -131,19 +146,11 @@ std::vector<MetricAggregate> OnlineAggregator::Aggregates() const {
   return out;
 }
 
-std::vector<ReplicationResult> InMemoryConsumer::ToReplicationResults() const {
-  std::vector<ReplicationResult> rows;
-  rows.reserve(records_.size());
-  for (const ReplicationRecord& record : records_) {
-    ReplicationResult row;
-    row.metrics = record.metrics;
-    rows.push_back(std::move(row));
+std::unique_ptr<AggregatingConsumer> MakeAggregator(bool stream) {
+  if (stream) {
+    return std::make_unique<OnlineAggregator>();
   }
-  return rows;
-}
-
-std::vector<MetricAggregate> InMemoryConsumer::Aggregates() const {
-  return ResultSink::AggregateReplications(ToReplicationResults());
+  return std::make_unique<ExactAggregator>();
 }
 
 }  // namespace wlansim

@@ -1,25 +1,25 @@
 // The consumption half of the results pipeline: replication records flow
 // from the campaign worker pool through a ResultPipeline, which re-orders
 // them into replication order (workers finish out of order) and fans each
-// record out to every attached ResultConsumer. This replaces ResultSink's
-// buffer-everything model: a consumer only sees one record at a time, so a
-// 10^4..10^6-replication campaign can stream rows to disk and aggregate
-// online with peak memory independent of the replication count.
+// record out to every attached ResultConsumer. A consumer only sees one
+// record at a time, so a 10^4..10^6-replication campaign can stream rows to
+// disk and aggregate online with peak memory independent of the replication
+// count.
 //
 // Built-in consumers:
 //   - StreamingCsvWriter  appends one CSV row per replication as records
-//     arrive; byte-identical to ResultSink::ReplicationsToCsv when every
-//     replication reports the same metric set.
+//     arrive; a run's only per-replication CSV writer.
+//   - ExactAggregator     keeps each metric's values, exact p50/p95; the
+//     default aggregation path.
 //   - OnlineAggregator    Welford summaries + P-square p50/p95 per metric,
 //     O(metrics) memory; the --stream aggregation path.
-//   - InMemoryConsumer    buffers whole records; exact aggregation for the
-//     default (batch-equivalent) path and for tests.
 
 #ifndef WLANSIM_RUNNER_RESULT_CONSUMER_H_
 #define WLANSIM_RUNNER_RESULT_CONSUMER_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -99,8 +99,7 @@ class ResultPipeline {
 // Streams one CSV row per replication to `out` as records arrive. The
 // column set is fixed by the first record (metric names, sorted); a later
 // record with a different metric set throws std::runtime_error, because the
-// already-written header can no longer be amended. Output is byte-identical
-// to ResultSink::ReplicationsToCsv over the same rows.
+// already-written header can no longer be amended.
 class StreamingCsvWriter final : public ResultConsumer {
  public:
   explicit StreamingCsvWriter(std::ostream& out) : out_(out) {}
@@ -119,15 +118,38 @@ class StreamingCsvWriter final : public ResultConsumer {
   bool wrote_header_ = false;
 };
 
+// The built-in aggregating consumer of a campaign or sweep point, exact or
+// online.
+class AggregatingConsumer : public ResultConsumer {
+ public:
+  // Per-metric aggregates over every record seen, ordered by metric name.
+  // A metric absent from some records aggregates over the records that do
+  // report it.
+  virtual std::vector<MetricAggregate> Aggregates() const = 0;
+};
+
+// Exact aggregation: each metric's values in replication order, folded by
+// ExactAggregate (type-7 quantiles by selection). Keeps only the doubles,
+// O(replications x metrics) memory; the default path.
+class ExactAggregator final : public AggregatingConsumer {
+ public:
+  void OnRecord(const ReplicationRecord& record) override;
+
+  std::vector<MetricAggregate> Aggregates() const override;
+
+ private:
+  std::map<std::string, std::vector<double>> columns_;
+};
+
 // Online aggregation: one Welford summary plus two P-square marker sets per
 // metric — O(metrics) memory however many replications stream through.
 // Aggregates() reports the same fields as exact aggregation, with p50/p95
 // replaced by their P-square estimates (label the columns approximate!).
-class OnlineAggregator final : public ResultConsumer {
+class OnlineAggregator final : public AggregatingConsumer {
  public:
   void OnRecord(const ReplicationRecord& record) override;
 
-  std::vector<MetricAggregate> Aggregates() const;
+  std::vector<MetricAggregate> Aggregates() const override;
 
  private:
   struct MetricState {
@@ -138,25 +160,9 @@ class OnlineAggregator final : public ResultConsumer {
   std::map<std::string, MetricState> metrics_;
 };
 
-// Buffers every record whole (scalars + distributions). This is the exact
-// aggregation path — identical numbers, hence identical CSV/JSON bytes, to
-// the historical ResultSink — and the natural consumer for tests.
-class InMemoryConsumer final : public ResultConsumer {
- public:
-  void OnRecord(const ReplicationRecord& record) override { records_.push_back(record); }
-
-  const std::vector<ReplicationRecord>& records() const { return records_; }
-
-  // The records' scalar maps, as the legacy per-replication row vector.
-  std::vector<ReplicationResult> ToReplicationResults() const;
-
-  // Exact aggregates (type-7 quantiles by selection), byte-identical to
-  // ResultSink::Aggregate over the same rows.
-  std::vector<MetricAggregate> Aggregates() const;
-
- private:
-  std::vector<ReplicationRecord> records_;
-};
+// The one aggregator a campaign or sweep point runs: online when `stream`
+// is set, exact otherwise.
+std::unique_ptr<AggregatingConsumer> MakeAggregator(bool stream);
 
 }  // namespace wlansim
 

@@ -2,21 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <limits>
-#include <map>
-#include <set>
-#include <stdexcept>
 
 namespace wlansim {
 namespace {
-
-// Local alias for the shared formatter; kept terse because every writer
-// line uses it.
-std::string Num(double v) { return CsvNum(v); }
 
 // The quantile column names under exact (type-7 by selection) and approximate
 // (P-square) aggregation. Streamed campaigns must never present an estimate
@@ -29,6 +21,11 @@ const char* P95Label(bool approx) { return approx ? "p95_approx" : "p95"; }
 // Fixed-width, locale-independent number formatting so identical campaigns
 // produce byte-identical files.
 std::string CsvNum(double v) {
+  // printf spells a NaN with its sign bit set "-nan" on glibc, and which
+  // sign an operation's NaN carries is up to the compiler and the CPU.
+  if (std::isnan(v)) {
+    return "nan";
+  }
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
@@ -146,83 +143,10 @@ MetricAggregate ExactAggregate(const std::string& name, std::vector<double> valu
   return agg;
 }
 
-ResultSink::ResultSink(size_t replications)
-    : replications_(replications), stored_(replications, false) {}
-
-void ResultSink::Store(size_t replication, ReplicationResult result) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (replication >= replications_.size()) {
-    throw std::out_of_range("replication index " + std::to_string(replication) +
-                            " outside sink of " + std::to_string(replications_.size()));
-  }
-  if (stored_[replication]) {
-    throw std::logic_error("replication " + std::to_string(replication) +
-                           " stored twice (double-set replication index)");
-  }
-  stored_[replication] = true;
-  replications_[replication] = std::move(result);
-}
-
-std::vector<MetricAggregate> ResultSink::Aggregate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AggregateReplications(replications_);
-}
-
-std::vector<MetricAggregate> ResultSink::AggregateReplications(
-    const std::vector<ReplicationResult>& replications) {
-  // Metrics absent from a replication simply have no value from it.
-  std::map<std::string, std::vector<double>> by_metric;
-  for (const ReplicationResult& rep : replications) {
-    for (const auto& [name, value] : rep.metrics) {
-      by_metric[name].push_back(value);
-    }
-  }
-  std::vector<MetricAggregate> out;
-  out.reserve(by_metric.size());
-  for (auto& [name, values] : by_metric) {
-    out.push_back(ExactAggregate(name, std::move(values)));
-  }
-  return out;
-}
-
-std::string ResultSink::ReplicationsToCsv(const std::vector<ReplicationResult>& replications) {
-  std::set<std::string> columns;
-  for (const ReplicationResult& rep : replications) {
-    for (const auto& [name, value] : rep.metrics) {
-      columns.insert(name);
-    }
-  }
-  std::string csv = "replication";
-  for (const std::string& c : columns) {
-    csv += ",";
-    csv += CsvField(c);
-  }
-  csv += "\n";
-  for (size_t i = 0; i < replications.size(); ++i) {
-    csv += std::to_string(i);
-    for (const std::string& c : columns) {
-      auto it = replications[i].metrics.find(c);
-      csv += ",";
-      if (it != replications[i].metrics.end()) {
-        csv += Num(it->second);
-      }
-    }
-    csv += "\n";
-  }
-  return csv;
-}
-
 std::string ResultSink::AggregatesToCsv(const std::vector<MetricAggregate>& aggregates,
                                         bool approx_quantiles) {
-  std::string csv = "metric,count,mean,stddev,ci95_half,min,max," +
-                    std::string(P50Label(approx_quantiles)) + "," +
-                    P95Label(approx_quantiles) + "\n";
-  for (const MetricAggregate& a : aggregates) {
-    csv += CsvField(a.metric) + "," + std::to_string(a.count) + "," + Num(a.mean) + "," +
-           Num(a.stddev) + "," + Num(a.ci95_half) + "," + Num(a.min) + "," + Num(a.max) + "," +
-           Num(a.p50) + "," + Num(a.p95) + "\n";
-  }
-  return csv;
+  // The sweep layout without parameter columns.
+  return SweepLongCsvHeader({}, approx_quantiles) + SweepLongCsvRows({}, aggregates);
 }
 
 std::string ResultSink::SweepLongCsvHeader(const std::vector<std::string>& param_keys,
@@ -244,20 +168,9 @@ std::string ResultSink::SweepLongCsvRows(const std::vector<std::string>& param_v
   }
   std::string csv;
   for (const MetricAggregate& a : aggregates) {
-    csv += prefix + CsvField(a.metric) + "," + std::to_string(a.count) + "," + Num(a.mean) + "," +
-           Num(a.stddev) + "," + Num(a.ci95_half) + "," + Num(a.min) + "," + Num(a.max) + "," +
-           Num(a.p50) + "," + Num(a.p95) + "\n";
-  }
-  return csv;
-}
-
-std::string ResultSink::SweepLongCsv(const std::vector<std::string>& param_keys,
-                                     const std::vector<SweepRow>& rows,
-                                     bool approx_quantiles) {
-  std::string csv = SweepLongCsvHeader(param_keys, approx_quantiles);
-  for (const SweepRow& row : rows) {
-    assert(row.param_values.size() == param_keys.size());
-    csv += SweepLongCsvRows(row.param_values, row.aggregates);
+    csv += prefix + CsvField(a.metric) + "," + std::to_string(a.count) + "," + CsvNum(a.mean) +
+           "," + CsvNum(a.stddev) + "," + CsvNum(a.ci95_half) + "," + CsvNum(a.min) + "," +
+           CsvNum(a.max) + "," + CsvNum(a.p50) + "," + CsvNum(a.p95) + "\n";
   }
   return csv;
 }
@@ -273,10 +186,11 @@ std::string ResultSink::AggregatesToJson(const std::string& scenario_name,
     json += first ? "\n" : ",\n";
     first = false;
     json += "    \"" + a.metric + "\": {\"count\": " + std::to_string(a.count) +
-            ", \"mean\": " + Num(a.mean) + ", \"stddev\": " + Num(a.stddev) +
-            ", \"ci95_half\": " + Num(a.ci95_half) + ", \"min\": " + Num(a.min) +
-            ", \"max\": " + Num(a.max) + ", \"" + P50Label(approx_quantiles) +
-            "\": " + Num(a.p50) + ", \"" + P95Label(approx_quantiles) + "\": " + Num(a.p95) + "}";
+            ", \"mean\": " + CsvNum(a.mean) + ", \"stddev\": " + CsvNum(a.stddev) +
+            ", \"ci95_half\": " + CsvNum(a.ci95_half) + ", \"min\": " + CsvNum(a.min) +
+            ", \"max\": " + CsvNum(a.max) + ", \"" + P50Label(approx_quantiles) +
+            "\": " + CsvNum(a.p50) + ", \"" + P95Label(approx_quantiles) +
+            "\": " + CsvNum(a.p95) + "}";
   }
   json += "\n  }\n}\n";
   return json;

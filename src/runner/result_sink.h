@@ -1,15 +1,14 @@
-// Collects per-replication metric rows and aggregates them into
-// mean / stddev / 95 % confidence intervals, with CSV and JSON writers.
+// Aggregation of per-replication metric columns into mean / stddev / 95 %
+// confidence intervals and quantiles, plus the CSV and JSON formatters of
+// those aggregates.
 
 #ifndef WLANSIM_RUNNER_RESULT_SINK_H_
 #define WLANSIM_RUNNER_RESULT_SINK_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "runner/scenario.h"
 #include "stats/summary.h"
 
 namespace wlansim {
@@ -59,50 +58,17 @@ double StudentT95(uint64_t df);
 std::string CsvField(const std::string& field);
 
 // The fixed-width, locale-independent "%.9g" number format every CSV/JSON
-// writer uses — shared so the streaming row writer is byte-identical to the
-// batch one.
+// writer (and the sweep range expansion) uses. Every NaN prints as "nan",
+// whatever its sign bit, so a column's bytes never depend on how the build
+// produced the NaN.
 std::string CsvNum(double v);
 
-// One row of a long-format sweep CSV: the swept parameter values (parallel
-// to the key list handed to SweepLongCsv) plus that point's aggregates.
-struct SweepRow {
-  std::vector<std::string> param_values;
-  std::vector<MetricAggregate> aggregates;
-};
-
-// Batch (buffer-everything) replication collector. The campaign runner now
-// streams results through ResultPipeline/ResultConsumer instead; ResultSink
-// remains the exact-aggregation building block for bounded collections (the
-// perf harness, tests) and the home of the shared CSV/JSON formatters.
+// The CSV and JSON formatters of aggregate results, shared by every writer
+// (campaign aggregates, the streamed sweep CSV, the WLSR export path and the
+// query server) so their bytes cannot drift. Per-replication rows are
+// written by StreamingCsvWriter (result_consumer.h).
 class ResultSink {
  public:
-  // Sized upfront so workers can store results by replication index; the
-  // aggregate therefore never depends on completion order.
-  explicit ResultSink(size_t replications);
-
-  // Thread-safe; each index must be set exactly once. Throws
-  // std::out_of_range for an index beyond the sized capacity and
-  // std::logic_error when the index was already stored — a double-set
-  // replication is a seeding/scheduling bug, not a row to overwrite.
-  void Store(size_t replication, ReplicationResult result);
-
-  const std::vector<ReplicationResult>& replications() const { return replications_; }
-
-  // Per-metric aggregates over every stored replication, ordered by metric
-  // name. Metrics absent from some replications aggregate over the
-  // replications that do report them.
-  std::vector<MetricAggregate> Aggregate() const;
-
-  // The exact aggregation underlying Aggregate(), over any row vector: each
-  // metric's values in replication order, folded by ExactAggregate. The
-  // in-memory pipeline consumer shares it so batch and exact-streamed
-  // aggregates are the same numbers, hence the same bytes.
-  static std::vector<MetricAggregate> AggregateReplications(
-      const std::vector<ReplicationResult>& replications);
-
-  // One CSV row per replication: replication,<metric columns sorted by name>.
-  static std::string ReplicationsToCsv(const std::vector<ReplicationResult>& replications);
-
   // One CSV row per metric: metric,count,mean,stddev,ci95_half,min,max,p50,p95.
   // When `approx_quantiles` is set (online P-square aggregation), the
   // quantile columns are labeled p50_approx/p95_approx so downstream tooling
@@ -117,25 +83,14 @@ class ResultSink {
                                       bool approx_quantiles = false);
 
   // Long-format sweep CSV: header `<param_keys...>,metric,count,mean,stddev,
-  // ci95_half,min,max,p50,p95`, then one row per (grid point, metric). Rows from a
-  // shard slice concatenate under a single header into exactly the unsharded
-  // output. `approx_quantiles` relabels the quantile columns as above.
-  static std::string SweepLongCsv(const std::vector<std::string>& param_keys,
-                                  const std::vector<SweepRow>& rows,
-                                  bool approx_quantiles = false);
-
-  // The pieces SweepLongCsv is assembled from, shared with the streaming
-  // sweep writer and the binary-export path so their bytes cannot drift:
-  // the header line, and one grid point's block of per-metric rows.
+  // ci95_half,min,max,p50,p95`, then one grid point's block of per-metric
+  // rows at a time. Rows from a shard slice concatenate under a single
+  // header into exactly the unsharded output. `approx_quantiles` relabels
+  // the quantile columns as above.
   static std::string SweepLongCsvHeader(const std::vector<std::string>& param_keys,
                                         bool approx_quantiles);
   static std::string SweepLongCsvRows(const std::vector<std::string>& param_values,
                                       const std::vector<MetricAggregate>& aggregates);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<ReplicationResult> replications_;
-  std::vector<bool> stored_;
 };
 
 }  // namespace wlansim

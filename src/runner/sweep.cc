@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,14 +15,6 @@
 
 namespace wlansim {
 namespace {
-
-// Same fixed "%.9g" convention as the CSV writers, so a range-generated
-// value string is identical to what the output file prints.
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 [[noreturn]] void ThrowBadSpec(const std::string& spec, const std::string& why) {
   throw std::invalid_argument("malformed --sweep spec '" + spec + "': " + why);
@@ -69,7 +60,9 @@ std::vector<std::string> ExpandRange(const std::string& spec, const std::string&
     if (v > hi + tolerance) {
       break;
     }
-    values.push_back(Num(v));
+    // The CSV writers' number format, so a range-generated value string is
+    // identical to what the output file prints.
+    values.push_back(CsvNum(v));
     if (values.size() > 1000000) {
       ThrowBadSpec(spec, "range expands to more than 10^6 values");
     }
@@ -246,7 +239,7 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   SweepResult result;
   result.scenario = options.scenario;
   result.base_seed = options.base_seed;
-  result.replications = options.replications;
+  result.replication_count = options.replications;
   result.param_keys = options.grid.Keys();
 
   result.streamed = options.stream;
@@ -261,15 +254,17 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
   const Scenario& scenario = *scenario_ptr;
 
   // Each grid point owns a result pipeline with one aggregation consumer:
-  // exact in-memory by default, online (O(metrics) memory) when streaming.
-  // The worker that finishes a point's last rep aggregates it and frees the
-  // collector, so exact-mode peak memory stays O(reps) per in-flight point
-  // — and streaming mode is O(metrics) per point outright.
+  // exact by default, online (O(metrics) memory) when streaming. The worker
+  // that finishes a point's last rep aggregates it and frees the collector,
+  // so exact-mode peak memory stays O(reps) per in-flight point — and
+  // streaming mode is O(metrics) per point outright.
   struct PointCollector {
-    explicit PointCollector(CampaignManifest manifest) : pipeline(std::move(manifest)) {}
+    PointCollector(CampaignManifest manifest, bool stream)
+        : pipeline(std::move(manifest)), aggregator(MakeAggregator(stream)) {
+      pipeline.AddConsumer(aggregator.get());
+    }
     ResultPipeline pipeline;
-    InMemoryConsumer memory;
-    OnlineAggregator online;
+    std::unique_ptr<AggregatingConsumer> aggregator;
   };
 
   // Announce the sweep to the point sinks before any point is set up, so
@@ -305,10 +300,7 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     manifest.scenario = options.scenario;
     manifest.base_seed = info.point_seed;
     manifest.replications = reps;
-    collectors[p] = std::make_unique<PointCollector>(std::move(manifest));
-    collectors[p]->pipeline.AddConsumer(options.stream
-                                            ? static_cast<ResultConsumer*>(&collectors[p]->online)
-                                            : &collectors[p]->memory);
+    collectors[p] = std::make_unique<PointCollector>(std::move(manifest), options.stream);
     point_consumers[p].reserve(options.point_sinks.size());
     for (SweepPointSink* sink : options.point_sinks) {
       std::unique_ptr<ResultConsumer> consumer = sink->MakePointConsumer(info);
@@ -349,8 +341,7 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     collector.pipeline.Deliver(recorder.Finish(rep, returned));
     if (completed[p].fetch_add(1, std::memory_order_acq_rel) + 1 == reps) {
       collector.pipeline.End();
-      std::vector<MetricAggregate> aggregates =
-          options.stream ? collector.online.Aggregates() : collector.memory.Aggregates();
+      std::vector<MetricAggregate> aggregates = collector.aggregator->Aggregates();
       collectors[p].reset();
       if (options.retain_points) {
         result.points[p].aggregates = aggregates;
@@ -374,21 +365,6 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     sink->EndSweep();
   }
   return result;
-}
-
-std::string SweepResultToCsv(const SweepResult& result) {
-  std::vector<SweepRow> rows;
-  rows.reserve(result.points.size());
-  for (const SweepPointResult& point : result.points) {
-    SweepRow row;
-    row.param_values.reserve(point.point.size());
-    for (const auto& [key, value] : point.point) {
-      row.param_values.push_back(value);
-    }
-    row.aggregates = point.aggregates;
-    rows.push_back(std::move(row));
-  }
-  return ResultSink::SweepLongCsv(result.param_keys, rows, result.streamed);
 }
 
 }  // namespace wlansim

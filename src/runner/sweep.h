@@ -126,10 +126,9 @@ class SweepPointSink {
 };
 
 // Streams the long-format sweep CSV (header + one row per point and metric)
-// to `out` as points complete, byte-identical to SweepResultToCsv over the
-// same sweep — the header is a pure function of the manifest and each
-// point's rows are a pure function of its aggregates, so nothing needs to
-// wait for the sweep to end.
+// to `out` as points complete; a run's only sweep CSV writer. The header is
+// a pure function of the manifest and each point's rows are a pure function
+// of its aggregates, so nothing needs to wait for the sweep to end.
 class StreamingSweepCsvWriter final : public SweepPointSink {
  public:
   explicit StreamingSweepCsvWriter(std::ostream& out) : out_(out) {}
@@ -164,8 +163,8 @@ struct SweepOptions {
   // quantiles) instead of buffering its replication rows, so per-point peak
   // memory is O(metrics) however many replications run. The long CSV's
   // quantile columns are then labeled p50_approx/p95_approx. Off by
-  // default: exact aggregation keeps sweep CSVs byte-identical to the batch
-  // collector.
+  // default: exact aggregation keeps each point's metric values for exact
+  // quantiles.
   bool stream = false;
   // Per-point completion sinks (not owned, must outlive RunSweepCampaign).
   // Each receives every point in grid order; see SweepPointSink.
@@ -186,7 +185,7 @@ struct SweepPointResult {
 struct SweepResult {
   std::string scenario;
   uint64_t base_seed = 1;
-  uint64_t replications = 1;
+  uint64_t replication_count = 1;  // per grid point, as in CampaignResult
   bool streamed = false;  // aggregates' p50/p95 are P-square estimates
   std::vector<std::string> param_keys;   // axis keys, axis order
   std::vector<SweepPointResult> points;  // this shard's slice, grid order
@@ -203,10 +202,6 @@ uint64_t SweepPointSeed(uint64_t base_seed,
 // point. Throws std::invalid_argument for an unknown scenario, an unknown or
 // ambiguous parameter, or an invalid shard spec.
 SweepResult RunSweepCampaign(const SweepOptions& options);
-
-// The long-format combined CSV for a sweep (header + one row per point and
-// metric), emitted via ResultSink::SweepLongCsv.
-std::string SweepResultToCsv(const SweepResult& result);
 
 }  // namespace wlansim
 

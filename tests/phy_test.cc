@@ -15,7 +15,7 @@
 #include "phy/error_model.h"
 #include "phy/fading.h"
 #include "phy/interference.h"
-#include "phy/interference_reference.h"
+#include "tests/support/interference_reference.h"
 #include "phy/mobility.h"
 #include "phy/propagation.h"
 #include "phy/wifi_mode.h"

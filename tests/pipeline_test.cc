@@ -1,8 +1,7 @@
 // Results-pipeline tests: P-square accuracy against exact sample quantiles,
 // ordered fan-out through the reorder buffer (out-of-order completion,
-// double-set detection), MetricRecorder flush rules, golden streamed-vs-batch
-// CSV byte-identity in exact mode (campaign and sharded sweep), and
-// streaming-mode determinism across worker counts.
+// double-set detection), MetricRecorder flush rules, sharded sweep CSV
+// byte-identity, and streaming-mode determinism across worker counts.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +19,7 @@
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
 #include "stats/p2_quantile.h"
+#include "tests/support/result_helpers.h"
 
 namespace wlansim {
 namespace {
@@ -161,16 +161,6 @@ TEST(ResultPipelineTest, EndWithMissingReplicationsThrows) {
   EXPECT_THROW(pipeline.End(), std::logic_error);
 }
 
-TEST(ResultSinkTest, DoubleStoreThrows) {
-  ResultSink sink(2);
-  ReplicationResult r;
-  r.metrics["x"] = 1.0;
-  sink.Store(0, r);
-  EXPECT_THROW(sink.Store(0, r), std::logic_error);
-  EXPECT_THROW(sink.Store(2, r), std::out_of_range);
-  sink.Store(1, r);  // the other index is still fine
-}
-
 // --- MetricRecorder flush rules ------------------------------------------------
 
 TEST(MetricRecorderTest, FlushesCountersScalarsGaugesHistograms) {
@@ -235,7 +225,7 @@ TEST(MetricRecorderTest, HistogramMisuseThrows) {
   EXPECT_THROW(recorder.DeclareHistogram("bad", 0.0, 1.0, 0), std::logic_error);
 }
 
-// --- Golden test: streamed CSV == batch CSV in exact mode ----------------------
+// --- Campaign: exact vs stream mode -------------------------------------------
 
 CampaignOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
   CampaignOptions options;
@@ -246,28 +236,15 @@ CampaignOptions ProbeCampaign(unsigned jobs, uint64_t reps) {
   return options;
 }
 
-TEST(StreamingGolden, StreamedRowsMatchBatchCsvByteForByte) {
-  // Exact mode with a streaming writer riding the pipeline: rows hit the
-  // stream as replications complete (out of order across 8 workers), yet
-  // the bytes must equal the batch writer applied to the buffered rows.
-  std::ostringstream streamed;
-  StreamingCsvWriter writer(streamed);
-  CampaignOptions options = ProbeCampaign(8, 64);
-  options.consumers.push_back(&writer);
-  const CampaignResult result = RunCampaign(options);
-  EXPECT_EQ(streamed.str(), ResultSink::ReplicationsToCsv(result.replications));
-  EXPECT_FALSE(result.streamed);
-  EXPECT_EQ(result.replication_count, 64u);
-}
-
 TEST(StreamingGolden, StreamModeMatchesExactModeEverywhereButQuantiles) {
   const CampaignResult exact = RunCampaign(ProbeCampaign(1, 200));
   CampaignOptions options = ProbeCampaign(4, 200);
   options.stream = true;
   const CampaignResult streamed = RunCampaign(options);
 
+  EXPECT_FALSE(exact.streamed);
   EXPECT_TRUE(streamed.streamed);
-  EXPECT_TRUE(streamed.replications.empty());  // nothing buffered
+  EXPECT_EQ(streamed.replication_count, 200u);
   ASSERT_EQ(exact.aggregates.size(), streamed.aggregates.size());
   for (size_t i = 0; i < exact.aggregates.size(); ++i) {
     const MetricAggregate& e = exact.aggregates[i];
@@ -331,10 +308,10 @@ SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_coun
 }
 
 TEST(StreamingGolden, ShardedSweepCsvMergesByteForByte) {
-  const std::string full = SweepResultToCsv(RunSweepCampaign(ProbeSweep(4, 0, 1)));
+  const std::string full = SweepCsv(ProbeSweep(4, 0, 1));
   std::string merged;
   for (unsigned shard = 0; shard < 3; ++shard) {
-    const std::string part = SweepResultToCsv(RunSweepCampaign(ProbeSweep(4, shard, 3)));
+    const std::string part = SweepCsv(ProbeSweep(4, shard, 3));
     merged += shard == 0 ? part : part.substr(part.find('\n') + 1);
   }
   EXPECT_EQ(full, merged);
@@ -345,14 +322,14 @@ TEST(SweepStream, DeterministicAcrossJobsAndLabeledApproximate) {
   serial.stream = true;
   SweepOptions parallel = ProbeSweep(8, 0, 1);
   parallel.stream = true;
-  const std::string csv_serial = SweepResultToCsv(RunSweepCampaign(serial));
-  const std::string csv_parallel = SweepResultToCsv(RunSweepCampaign(parallel));
+  const std::string csv_serial = SweepCsv(serial);
+  const std::string csv_parallel = SweepCsv(parallel);
   EXPECT_EQ(csv_serial, csv_parallel);
   EXPECT_NE(csv_serial.find("p50_approx,p95_approx\n"), std::string::npos);
 
   // Same campaign in exact mode: identical everywhere except the quantile
   // columns' values and labels — count that the headers really diverge.
-  const std::string csv_exact = SweepResultToCsv(RunSweepCampaign(ProbeSweep(1, 0, 1)));
+  const std::string csv_exact = SweepCsv(ProbeSweep(1, 0, 1));
   EXPECT_NE(csv_exact.find("p50,p95\n"), std::string::npos);
 }
 
@@ -363,7 +340,7 @@ TEST(WriterHeaders, ApproxQuantileColumnsAreLabeled) {
             "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
   EXPECT_EQ(ResultSink::AggregatesToCsv({}, true),
             "metric,count,mean,stddev,ci95_half,min,max,p50_approx,p95_approx\n");
-  EXPECT_EQ(ResultSink::SweepLongCsv({"a"}, {}, true),
+  EXPECT_EQ(ResultSink::SweepLongCsvHeader({"a"}, true),
             "a,metric,count,mean,stddev,ci95_half,min,max,p50_approx,p95_approx\n");
   const std::string json = ResultSink::AggregatesToJson("s", 1, {MetricAggregate{}}, true);
   EXPECT_NE(json.find("\"p50_approx\""), std::string::npos);
@@ -372,14 +349,8 @@ TEST(WriterHeaders, ApproxQuantileColumnsAreLabeled) {
 
 // --- dense_multi_bss per-station histogram through the recorder ----------------
 
-class DistributionSpy final : public ResultConsumer {
- public:
-  void OnRecord(const ReplicationRecord& record) override { records.push_back(record); }
-  std::vector<ReplicationRecord> records;
-};
-
 TEST(DenseMultiBssHistogram, PerStationThroughputRecorded) {
-  DistributionSpy spy;
+  RecordCollector spy;
   CampaignOptions options;
   options.scenario = "dense_multi_bss";
   options.replications = 1;

@@ -20,6 +20,7 @@
 #include "runner/builders.h"
 #include "runner/campaign.h"
 #include "runner/scenario_registry.h"
+#include "tests/support/result_helpers.h"
 
 namespace wlansim {
 namespace {
@@ -295,16 +296,21 @@ TEST(RadioSeam, SensorCoexistenceCampaignIdenticalAcrossJobs) {
   options.replications = 3;
   options.base_seed = 99;
 
+  RecordCollector serial;
   options.jobs = 1;
-  const CampaignResult serial = RunCampaign(options);
+  options.consumers = {&serial};
+  RunCampaign(options);
+  RecordCollector parallel;
   options.jobs = 0;  // auto parallelism
-  const CampaignResult parallel = RunCampaign(options);
+  options.consumers = {&parallel};
+  RunCampaign(options);
 
-  ASSERT_EQ(serial.replications.size(), parallel.replications.size());
-  for (size_t i = 0; i < serial.replications.size(); ++i) {
-    for (const auto& [name, value] : serial.replications[i].metrics) {
-      const auto it = parallel.replications[i].metrics.find(name);
-      ASSERT_NE(it, parallel.replications[i].metrics.end()) << name;
+  ASSERT_EQ(serial.records.size(), 3u);
+  ASSERT_EQ(serial.records.size(), parallel.records.size());
+  for (size_t i = 0; i < serial.records.size(); ++i) {
+    for (const auto& [name, value] : serial.records[i].metrics) {
+      const auto it = parallel.records[i].metrics.find(name);
+      ASSERT_NE(it, parallel.records[i].metrics.end()) << name;
       EXPECT_DOUBLE_EQ(value, it->second) << name << " rep " << i;
     }
   }

@@ -1,7 +1,7 @@
 // WLSR binary results format tests: primitive/chunk codec round-trips, the
 // schema header round-trip, writer determinism across worker counts, shard
 // merge byte-identity against the unsharded file, CSV export byte-identity
-// against the text writers (batch and streamed, campaign and sweep),
+// against the streamed text writers (campaign and sweep),
 // histogram (DistributionSnapshot) fidelity, schema-drift rejection, and
 // corrupted/truncated-file rejection.
 
@@ -24,6 +24,7 @@
 #include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/sweep.h"
+#include "tests/support/result_helpers.h"
 
 namespace wlansim {
 namespace {
@@ -190,16 +191,12 @@ SweepOptions ProbeSweep(unsigned jobs, unsigned shard_index, unsigned shard_coun
   return options;
 }
 
-std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_count,
-                        SweepResult* result_out = nullptr) {
+std::string SweepBinary(unsigned jobs, unsigned shard_index, unsigned shard_count) {
   std::ostringstream bin;
   BinarySweepWriter writer(bin);
   SweepOptions options = ProbeSweep(jobs, shard_index, shard_count);
   options.point_sinks.push_back(&writer);
-  SweepResult result = RunSweepCampaign(options);
-  if (result_out != nullptr) {
-    *result_out = std::move(result);
-  }
+  RunSweepCampaign(options);
   return bin.str();
 }
 
@@ -235,17 +232,18 @@ TEST(BinaryReader, CampaignExportMatchesCsvWritersByteForByte) {
   CampaignOptions options = ProbeCampaign(8, 64);
   options.consumers.push_back(&csv_writer);
   options.consumers.push_back(&bin_writer);
-  const CampaignResult result = RunCampaign(options);
+  RunCampaign(options);
 
-  const std::string exported = ExportBinaryCsv(ParseBinaryResults(bin.str()));
-  EXPECT_EQ(exported, streamed_csv.str());
-  EXPECT_EQ(exported, ResultSink::ReplicationsToCsv(result.replications));
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), streamed_csv.str());
 }
 
 TEST(BinaryReader, SweepExportMatchesLongCsvByteForByte) {
-  SweepResult result;
-  const std::string bytes = SweepBinary(4, 0, 1, &result);
-  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bytes)), SweepResultToCsv(result));
+  std::ostringstream bin;
+  BinarySweepWriter bin_writer(bin);
+  SweepOptions options = ProbeSweep(4, 0, 1);
+  options.point_sinks.push_back(&bin_writer);
+  const std::string csv = SweepCsv(options);
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), csv);
 }
 
 TEST(BinaryReader, StreamedSweepExportReplaysOnlineAggregationByteForByte) {
@@ -277,7 +275,7 @@ TEST(BinaryReader, StreamedCampaignExportReplaysOnlineRowsByteForByte) {
 }
 
 TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
-  InMemoryConsumer memory;
+  RecordCollector memory;
   std::ostringstream bin;
   BinaryCampaignWriter bin_writer(bin, /*streamed=*/false);
   CampaignOptions options = ProbeCampaign(4, 48);
@@ -293,9 +291,9 @@ TEST(BinaryReader, HistogramSnapshotsSurviveTheRoundTrip) {
 
   std::vector<DistributionSnapshot> decoded;
   ReadDistColumn(file.groups[0], 0, &decoded);
-  ASSERT_EQ(decoded.size(), memory.records().size());
+  ASSERT_EQ(decoded.size(), memory.records.size());
   for (size_t i = 0; i < decoded.size(); ++i) {
-    const DistributionSnapshot& want = memory.records()[i].distributions.at("latency_hist");
+    const DistributionSnapshot& want = memory.records[i].distributions.at("latency_hist");
     EXPECT_EQ(decoded[i].bins, want.bins) << "row " << i;
     EXPECT_EQ(decoded[i].underflow, want.underflow);
     EXPECT_EQ(decoded[i].overflow, want.overflow);
@@ -376,24 +374,31 @@ TEST(BinaryWriter, RejectsSecondCampaignLikeTheCsvWriter) {
   EXPECT_THROW(RunCampaign(options), std::logic_error);
 }
 
-// --- streamed sweep CSV (satellite: reorder-buffered long-format streaming) -----
+// --- streamed sweep CSV (reorder-buffered long-format streaming) ---------------
 
-TEST(SweepStreamCsv, StreamedLongCsvMatchesBatchByteForByte) {
+TEST(SweepStreamCsv, StreamedLongCsvMatchesRetainedPoints) {
   // Exact mode, streaming writer riding the point sinks: rows hit the
-  // stream in grid order as points complete out of order across 8 workers.
-  std::ostringstream streamed;
-  StreamingSweepCsvWriter writer(streamed);
-  SweepOptions options = ProbeSweep(8, 0, 1);
-  options.point_sinks.push_back(&writer);
-  const SweepResult result = RunSweepCampaign(options);
-  EXPECT_EQ(streamed.str(), SweepResultToCsv(result));
+  // stream in grid order as points complete out of order across 8 workers,
+  // and hold exactly the aggregates the sweep retains per point.
+  SweepResult result;
+  const std::string streamed = SweepCsv(ProbeSweep(8, 0, 1), &result);
+  std::string expected = ResultSink::SweepLongCsvHeader(result.param_keys, result.streamed);
+  for (const SweepPointResult& point : result.points) {
+    std::vector<std::string> values;
+    for (const auto& [key, value] : point.point) {
+      values.push_back(value);
+    }
+    expected += ResultSink::SweepLongCsvRows(values, point.aggregates);
+  }
+  EXPECT_EQ(result.points.size(), 6u);
+  EXPECT_EQ(streamed, expected);
 }
 
 TEST(SweepStreamCsv, WorksWithoutRetainedPoints) {
   // retain_points=false is the at-scale configuration: the sinks are the
   // only output. The streamed CSV must still be byte-identical to what a
   // retaining run produces.
-  const std::string retained = SweepResultToCsv(RunSweepCampaign(ProbeSweep(4, 0, 1)));
+  const std::string retained = SweepCsv(ProbeSweep(4, 0, 1));
   std::ostringstream streamed;
   StreamingSweepCsvWriter writer(streamed);
   SweepOptions options = ProbeSweep(4, 0, 1);

@@ -14,10 +14,12 @@
 
 #include "core/random.h"
 #include "runner/campaign.h"
+#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario.h"
 #include "runner/scenario_registry.h"
 #include "stats/summary.h"
+#include "tests/support/result_helpers.h"
 
 namespace wlansim {
 namespace {
@@ -122,6 +124,19 @@ TEST(Registry, UnknownParameterRejected) {
 
 // --- CI aggregation math -------------------------------------------------------
 
+// Feeds `rows` through an ExactAggregator as replications 0..n-1.
+std::vector<MetricAggregate> AggregateRows(
+    const std::vector<std::map<std::string, double>>& rows) {
+  ExactAggregator aggregator;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ReplicationRecord record;
+    record.replication = i;
+    record.metrics = rows[i];
+    aggregator.OnRecord(record);
+  }
+  return aggregator.Aggregates();
+}
+
 TEST(ResultSinkTest, StudentTCriticalValues) {
   EXPECT_TRUE(std::isinf(StudentT95(0)));
   EXPECT_NEAR(StudentT95(1), 12.706, 1e-9);
@@ -131,13 +146,8 @@ TEST(ResultSinkTest, StudentTCriticalValues) {
 }
 
 TEST(ResultSinkTest, AggregateMeanStddevCi) {
-  ResultSink sink(5);
-  for (size_t i = 0; i < 5; ++i) {
-    ReplicationResult r;
-    r.metrics["x"] = static_cast<double>(i + 1);  // 1..5
-    sink.Store(i, r);
-  }
-  const auto aggregates = sink.Aggregate();
+  const auto aggregates = AggregateRows({{{"x", 1.0}}, {{"x", 2.0}}, {{"x", 3.0}},
+                                         {{"x", 4.0}}, {{"x", 5.0}}});
   ASSERT_EQ(aggregates.size(), 1u);
   const MetricAggregate& a = aggregates[0];
   EXPECT_EQ(a.metric, "x");
@@ -196,13 +206,9 @@ TEST(ResultSinkTest, NaNsRankAboveEveryNumber) {
 }
 
 TEST(ResultSinkTest, AggregateQuantiles) {
-  ResultSink sink(5);
-  for (size_t i = 0; i < 5; ++i) {
-    ReplicationResult r;
-    r.metrics["x"] = static_cast<double>(5 - i);  // stored unsorted: 5..1
-    sink.Store(i, r);
-  }
-  const auto aggregates = sink.Aggregate();
+  // Delivered unsorted: 5..1.
+  const auto aggregates = AggregateRows({{{"x", 5.0}}, {{"x", 4.0}}, {{"x", 3.0}},
+                                         {{"x", 2.0}}, {{"x", 1.0}}});
   ASSERT_EQ(aggregates.size(), 1u);
   EXPECT_DOUBLE_EQ(aggregates[0].p50, 3.0);
   EXPECT_DOUBLE_EQ(aggregates[0].p95, 4.8);
@@ -359,25 +365,25 @@ TEST(ExactAggregateTest, SelectionMatchesTheSortOnOrderedColumns) {
 }
 
 TEST(ExactAggregateTest, RaggedReplicationsFoldPerColumn) {
-  // Replications that each report only some metrics: AggregateReplications
-  // must equal ExactAggregate over each metric's values in replication
-  // order, skipping the replications that lack it.
+  // Replications that each report only some metrics: ExactAggregator must
+  // equal ExactAggregate over each metric's values in replication order,
+  // skipping the replications that lack it.
   Rng rng(77);
-  std::vector<ReplicationResult> replications(257);
+  std::vector<std::map<std::string, double>> rows(257);
   std::map<std::string, std::vector<double>> columns;
-  for (size_t i = 0; i < replications.size(); ++i) {
+  for (size_t i = 0; i < rows.size(); ++i) {
     for (const char* name : {"a", "b", "c"}) {
       if (rng.Chance(0.7)) {
         const double v = TrickyColumn(rng, 1, false).front();
-        replications[i].metrics[name] = v;
+        rows[i][name] = v;
         columns[name].push_back(v);
       }
     }
   }
-  replications[5].metrics["only_once"] = 42.0;
+  rows[5]["only_once"] = 42.0;
   columns["only_once"].push_back(42.0);
 
-  const std::vector<MetricAggregate> aggregates = ResultSink::AggregateReplications(replications);
+  const std::vector<MetricAggregate> aggregates = AggregateRows(rows);
   ASSERT_EQ(aggregates.size(), columns.size());
   size_t i = 0;
   for (const auto& [name, column] : columns) {
@@ -393,29 +399,31 @@ TEST(ResultSinkTest, CsvHeadersAreStable) {
   // together with every CSV consumer (CI artifacts, figure scripts).
   EXPECT_EQ(ResultSink::AggregatesToCsv({}),
             "metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
-  EXPECT_EQ(ResultSink::SweepLongCsv({"a", "b"}, {}),
+  EXPECT_EQ(ResultSink::SweepLongCsvHeader({"a", "b"}, false),
             "a,b,metric,count,mean,stddev,ci95_half,min,max,p50,p95\n");
 }
 
+TEST(ResultSinkTest, EveryNaNFormatsAlike) {
+  // printf writes "-nan" for a NaN with its sign bit set; the CSV writers
+  // must not let that bit reach the bytes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(CsvNum(nan), "nan");
+  EXPECT_EQ(CsvNum(-nan), "nan");
+  EXPECT_EQ(CsvNum(std::copysign(nan, -1.0)), "nan");
+  EXPECT_EQ(CsvNum(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(CsvNum(-std::numeric_limits<double>::infinity()), "-inf");
+  EXPECT_EQ(CsvNum(1.0 / 3.0), "0.333333333");
+}
+
 TEST(ResultSinkTest, SingleReplicationHasZeroCi) {
-  ResultSink sink(1);
-  ReplicationResult r;
-  r.metrics["x"] = 4.0;
-  sink.Store(0, r);
-  const auto aggregates = sink.Aggregate();
+  const auto aggregates = AggregateRows({{{"x", 4.0}}});
   ASSERT_EQ(aggregates.size(), 1u);
   EXPECT_DOUBLE_EQ(aggregates[0].stddev, 0.0);
   EXPECT_DOUBLE_EQ(aggregates[0].ci95_half, 0.0);
 }
 
 TEST(ResultSinkTest, CsvAndJsonShape) {
-  ResultSink sink(2);
-  for (size_t i = 0; i < 2; ++i) {
-    ReplicationResult r;
-    r.metrics["goodput"] = 1.0 + static_cast<double>(i);
-    sink.Store(i, r);
-  }
-  const auto aggregates = sink.Aggregate();
+  const auto aggregates = AggregateRows({{{"goodput", 1.0}}, {{"goodput", 2.0}}});
   const std::string csv = ResultSink::AggregatesToCsv(aggregates);
   EXPECT_NE(csv.find("metric,count,mean,stddev,ci95_half,min,max"), std::string::npos);
   EXPECT_NE(csv.find("goodput,2,1.5"), std::string::npos);
@@ -423,10 +431,6 @@ TEST(ResultSinkTest, CsvAndJsonShape) {
   EXPECT_NE(json.find("\"scenario\": \"sat\""), std::string::npos);
   EXPECT_NE(json.find("\"replications\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"goodput\""), std::string::npos);
-  const std::string reps = ResultSink::ReplicationsToCsv(sink.replications());
-  EXPECT_NE(reps.find("replication,goodput"), std::string::npos);
-  EXPECT_NE(reps.find("0,1\n"), std::string::npos);
-  EXPECT_NE(reps.find("1,2\n"), std::string::npos);
 }
 
 // --- Campaign ------------------------------------------------------------------
@@ -452,16 +456,21 @@ TEST(Campaign, ResultsIndependentOfJobs) {
   options.base_seed = 99;
   options.replications = 64;
 
+  RecordCollector serial_records;
   options.jobs = 1;
+  options.consumers = {&serial_records};
   const CampaignResult serial = Campaign(scenario).Run(options);
+  RecordCollector parallel_records;
   options.jobs = 8;
+  options.consumers = {&parallel_records};
   const CampaignResult parallel = Campaign(scenario).Run(options);
 
-  ASSERT_EQ(serial.replications.size(), parallel.replications.size());
-  for (size_t i = 0; i < serial.replications.size(); ++i) {
-    EXPECT_EQ(serial.replications[i].metrics, parallel.replications[i].metrics) << i;
+  ASSERT_EQ(serial_records.records.size(), 64u);
+  ASSERT_EQ(parallel_records.records.size(), 64u);
+  for (size_t i = 0; i < serial_records.records.size(); ++i) {
+    EXPECT_EQ(serial_records.records[i].metrics, parallel_records.records[i].metrics) << i;
     // Replication i really ran as replication i, on any thread.
-    EXPECT_DOUBLE_EQ(serial.replications[i].metrics.at("replication"),
+    EXPECT_DOUBLE_EQ(serial_records.records[i].metrics.at("replication"),
                      static_cast<double>(i));
   }
   ASSERT_EQ(serial.aggregates.size(), parallel.aggregates.size());
@@ -479,14 +488,19 @@ TEST(Campaign, RealScenarioDeterministicAcrossJobs) {
   options.replications = 4;
   options.params.Set("sim_time_s", "0.5");
 
+  RecordCollector serial_records;
   options.jobs = 1;
+  options.consumers = {&serial_records};
   const CampaignResult serial = RunCampaign(options);
+  RecordCollector parallel_records;
   options.jobs = 4;
+  options.consumers = {&parallel_records};
   const CampaignResult parallel = RunCampaign(options);
 
-  ASSERT_EQ(serial.replications.size(), 4u);
-  for (size_t i = 0; i < serial.replications.size(); ++i) {
-    EXPECT_EQ(serial.replications[i].metrics, parallel.replications[i].metrics) << i;
+  ASSERT_EQ(serial_records.records.size(), 4u);
+  ASSERT_EQ(parallel_records.records.size(), 4u);
+  for (size_t i = 0; i < serial_records.records.size(); ++i) {
+    EXPECT_EQ(serial_records.records[i].metrics, parallel_records.records[i].metrics) << i;
   }
   // Byte-identical serialized aggregates, the CLI-level guarantee.
   EXPECT_EQ(ResultSink::AggregatesToCsv(serial.aggregates),
@@ -500,12 +514,15 @@ TEST(Campaign, DifferentSeedsAcrossReplications) {
   options.base_seed = 5;
   options.replications = 32;
   options.jobs = 4;
-  const CampaignResult result = Campaign(scenario).Run(options);
+  RecordCollector collector;
+  options.consumers = {&collector};
+  Campaign(scenario).Run(options);
   std::set<double> seen;
-  for (const ReplicationResult& r : result.replications) {
+  for (const ReplicationRecord& r : collector.records) {
     seen.insert(r.metrics.at("seed_mod"));
   }
-  EXPECT_EQ(seen.size(), result.replications.size());
+  EXPECT_EQ(collector.records.size(), 32u);
+  EXPECT_EQ(seen.size(), collector.records.size());
 }
 
 class ThrowingScenario final : public Scenario {

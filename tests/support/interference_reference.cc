@@ -1,4 +1,4 @@
-#include "phy/interference_reference.h"
+#include "tests/support/interference_reference.h"
 
 #include <algorithm>
 #include <cassert>

@@ -3,7 +3,9 @@
 // produce bit-identical doubles for every query — same chunk boundaries,
 // same id-ordered power folds — so the randomized differential tests in
 // tests/phy_test.cc compare the two with exact equality, and the m3 bench
-// (bench/bench_m3_interference.cc) uses this class as its baseline.
+// (bench/bench_m3_interference.cc) uses this class as its baseline. It is a
+// test oracle, not part of the shipped library: it builds into the
+// wlansim_test_support target, which only the tests and the benches link.
 //
 // Complexity (the reason it was replaced): `ChangePoints` re-collects and
 // re-sorts boundary points per window, `InterferenceAt` rescans the whole
@@ -11,8 +13,8 @@
 // `TimeWhenPowerBelow` re-evaluates the total power per candidate end
 // (O(n²) per CCA check).
 
-#ifndef WLANSIM_PHY_INTERFERENCE_REFERENCE_H_
-#define WLANSIM_PHY_INTERFERENCE_REFERENCE_H_
+#ifndef WLANSIM_TESTS_SUPPORT_INTERFERENCE_REFERENCE_H_
+#define WLANSIM_TESTS_SUPPORT_INTERFERENCE_REFERENCE_H_
 
 #include <cstdint>
 #include <vector>
@@ -55,4 +57,4 @@ class ReferenceInterferenceTracker {
 
 }  // namespace wlansim
 
-#endif  // WLANSIM_PHY_INTERFERENCE_REFERENCE_H_
+#endif  // WLANSIM_TESTS_SUPPORT_INTERFERENCE_REFERENCE_H_

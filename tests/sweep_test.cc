@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario_registry.h"
 #include "runner/sweep.h"
+#include "tests/support/result_helpers.h"
 
 namespace wlansim {
 namespace {
@@ -158,25 +161,25 @@ TEST(CsvEscaping, SpecialFieldsQuoted) {
 }
 
 TEST(CsvEscaping, MetricNamesEscapedInWriters) {
-  ResultSink sink(1);
-  ReplicationResult rep;
-  rep.metrics["throughput, up"] = 1.0;
-  rep.metrics["plain"] = 2.0;
-  sink.Store(0, rep);
-  const std::string agg_csv = ResultSink::AggregatesToCsv(sink.Aggregate());
+  ReplicationRecord record;
+  record.metrics["throughput, up"] = 1.0;
+  record.metrics["plain"] = 2.0;
+  ExactAggregator aggregator;
+  aggregator.OnRecord(record);
+  const std::string agg_csv = ResultSink::AggregatesToCsv(aggregator.Aggregates());
   EXPECT_NE(agg_csv.find("\"throughput, up\",1,1"), std::string::npos) << agg_csv;
-  const std::string reps_csv = ResultSink::ReplicationsToCsv(sink.replications());
-  EXPECT_NE(reps_csv.find("\"throughput, up\""), std::string::npos) << reps_csv;
+  std::ostringstream reps_csv;
+  StreamingCsvWriter writer(reps_csv);
+  writer.OnRecord(record);
+  EXPECT_NE(reps_csv.str().find("\"throughput, up\""), std::string::npos) << reps_csv.str();
 }
 
 TEST(CsvEscaping, SweepLongCsvEscapesKeysAndValues) {
   MetricAggregate agg;
   agg.metric = "x,y";
   agg.count = 1;
-  SweepRow row;
-  row.param_values = {"va\"lue"};
-  row.aggregates = {agg};
-  const std::string csv = ResultSink::SweepLongCsv({"weird,key"}, {row});
+  const std::string csv = ResultSink::SweepLongCsvHeader({"weird,key"}, false) +
+                          ResultSink::SweepLongCsvRows({"va\"lue"}, {agg});
   EXPECT_NE(csv.find("\"weird,key\",metric,"), std::string::npos) << csv;
   EXPECT_NE(csv.find("\"va\"\"lue\",\"x,y\",1,"), std::string::npos) << csv;
 }
@@ -238,8 +241,8 @@ TEST(SweepCampaign, RunsEveryPointWithMergedParams) {
 }
 
 TEST(SweepCampaign, CsvIdenticalAcrossJobs) {
-  const std::string serial = SweepResultToCsv(RunSweepCampaign(ProbeOptions(1, 0, 1)));
-  const std::string parallel = SweepResultToCsv(RunSweepCampaign(ProbeOptions(8, 0, 1)));
+  const std::string serial = SweepCsv(ProbeOptions(1, 0, 1));
+  const std::string parallel = SweepCsv(ProbeOptions(8, 0, 1));
   EXPECT_EQ(serial, parallel);
 }
 
@@ -252,16 +255,15 @@ TEST(SweepCampaign, CrossPointWorkQueueSaturatesAndStaysDeterministic) {
   serial_options.replications = 1;
   SweepOptions pooled_options = ProbeOptions(8, 0, 1);
   pooled_options.replications = 1;
-  EXPECT_EQ(SweepResultToCsv(RunSweepCampaign(serial_options)),
-            SweepResultToCsv(RunSweepCampaign(pooled_options)));
+  EXPECT_EQ(SweepCsv(serial_options), SweepCsv(pooled_options));
 }
 
 TEST(SweepCampaign, CsvIdenticalAcrossShardRecombination) {
-  const std::string full = SweepResultToCsv(RunSweepCampaign(ProbeOptions(2, 0, 1)));
+  const std::string full = SweepCsv(ProbeOptions(2, 0, 1));
   for (unsigned count : {2u, 3u, 6u}) {
     std::string merged;
     for (unsigned index = 0; index < count; ++index) {
-      const std::string shard = SweepResultToCsv(RunSweepCampaign(ProbeOptions(2, index, count)));
+      const std::string shard = SweepCsv(ProbeOptions(2, index, count));
       const size_t header_end = shard.find('\n') + 1;
       merged += index == 0 ? shard : shard.substr(header_end);
     }
@@ -325,12 +327,12 @@ TEST(SweepCampaign, RateVsDistanceDeterministicAcrossJobsAndShards) {
     return options;
   };
 
-  const std::string serial = SweepResultToCsv(RunSweepCampaign(make_options(1, 0, 1)));
-  const std::string parallel = SweepResultToCsv(RunSweepCampaign(make_options(0, 0, 1)));
+  const std::string serial = SweepCsv(make_options(1, 0, 1));
+  const std::string parallel = SweepCsv(make_options(0, 0, 1));
   EXPECT_EQ(serial, parallel);
 
-  const std::string half0 = SweepResultToCsv(RunSweepCampaign(make_options(2, 0, 2)));
-  const std::string half1 = SweepResultToCsv(RunSweepCampaign(make_options(2, 1, 2)));
+  const std::string half0 = SweepCsv(make_options(2, 0, 2));
+  const std::string half1 = SweepCsv(make_options(2, 1, 2));
   EXPECT_EQ(serial, half0 + half1.substr(half1.find('\n') + 1));
 }
 
