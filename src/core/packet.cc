@@ -5,7 +5,6 @@
 
 namespace wlansim {
 
-uint64_t Packet::next_uid_ = 1;
 thread_local uint64_t Packet::cow_copied_bytes_ = 0;
 
 Packet::Buf* Packet::NewBuf(size_t capacity, bool zero) {
@@ -30,14 +29,12 @@ void Packet::Unref(Buf* buf) {
 Packet::Packet(size_t payload_size, size_t headroom)
     : buf_(NewBuf(headroom + payload_size, /*zero=*/true)),
       head_(static_cast<uint32_t>(headroom)),
-      tail_(static_cast<uint32_t>(headroom + payload_size)),
-      uid_(next_uid_++) {}
+      tail_(static_cast<uint32_t>(headroom + payload_size)) {}
 
 Packet::Packet(std::span<const uint8_t> payload, size_t headroom)
     : buf_(NewBuf(headroom + payload.size(), /*zero=*/false)),
       head_(static_cast<uint32_t>(headroom)),
-      tail_(static_cast<uint32_t>(headroom + payload.size())),
-      uid_(next_uid_++) {
+      tail_(static_cast<uint32_t>(headroom + payload.size())) {
   // memcpy from a null pointer is UB even for zero bytes: an empty span
   // (e.g. a NullData MSDU) has no storage to copy from.
   if (!payload.empty()) {
@@ -46,8 +43,7 @@ Packet::Packet(std::span<const uint8_t> payload, size_t headroom)
 }
 
 Packet::Packet(const Packet& other)
-    : buf_(other.buf_), head_(other.head_), tail_(other.tail_), uid_(other.uid_),
-      meta_(other.meta_) {
+    : buf_(other.buf_), head_(other.head_), tail_(other.tail_), meta_(other.meta_) {
   Ref(buf_);
 }
 
@@ -58,7 +54,6 @@ Packet& Packet::operator=(const Packet& other) {
     buf_ = other.buf_;
     head_ = other.head_;
     tail_ = other.tail_;
-    uid_ = other.uid_;
     meta_ = other.meta_;
   }
   return *this;
@@ -76,8 +71,7 @@ Packet::Buf* Packet::EmptyBuf() {
 }
 
 Packet::Packet(Packet&& other) noexcept
-    : buf_(other.buf_), head_(other.head_), tail_(other.tail_), uid_(other.uid_),
-      meta_(other.meta_) {
+    : buf_(other.buf_), head_(other.head_), tail_(other.tail_), meta_(other.meta_) {
   other.buf_ = EmptyBuf();
   other.head_ = 0;
   other.tail_ = 0;
@@ -89,7 +83,6 @@ Packet& Packet::operator=(Packet&& other) noexcept {
     buf_ = other.buf_;
     head_ = other.head_;
     tail_ = other.tail_;
-    uid_ = other.uid_;
     meta_ = other.meta_;
     other.buf_ = EmptyBuf();
     other.head_ = 0;

@@ -5,7 +5,7 @@
 //
 // Copy semantics: copying a Packet shares the underlying buffer (one
 // refcount bump, no byte copy) and duplicates only the per-instance view
-// state — the [head, tail) window, the uid, and the PacketMeta. This is
+// state — the [head, tail) window and the PacketMeta. This is
 // what makes the channel's per-receiver fan-out zero-copy: every receiver
 // of a transmission holds a view of the same immutable buffer. Byte
 // mutation (AddHeader / AddTrailer / SetBytes / mutable_bytes) detaches —
@@ -62,8 +62,8 @@ class Packet {
   // Creates a packet holding a copy of `payload`.
   explicit Packet(std::span<const uint8_t> payload, size_t headroom = kDefaultHeadroom);
 
-  // Copies share the buffer (refcount bump) and keep the source's uid and
-  // meta; moves steal the view. Neither consumes a uid.
+  // Copies share the buffer (refcount bump) and keep the source's meta;
+  // moves steal the view.
   Packet(const Packet& other);
   Packet& operator=(const Packet& other);
   Packet(Packet&& other) noexcept;
@@ -97,8 +97,6 @@ class Packet {
   // Replaces the whole content (used by ciphers that re-frame the body).
   // Always re-frames into a private exact-fit buffer.
   void SetBytes(std::span<const uint8_t> content);
-
-  uint64_t uid() const { return uid_; }
 
   PacketMeta& meta() { return meta_; }
   const PacketMeta& meta() const { return meta_; }
@@ -166,10 +164,8 @@ class Packet {
   Buf* buf_;       // never null
   uint32_t head_;  // visible window [head_, tail_) within the buffer
   uint32_t tail_;
-  uint64_t uid_;
   PacketMeta meta_;
 
-  static uint64_t next_uid_;
   static thread_local uint64_t cow_copied_bytes_;
 };
 

@@ -407,6 +407,11 @@ BinaryGroupHeader DecodeGroupHeader(ByteReader& in) {
   header.scalar_names.reserve(n_scalars);
   for (uint64_t i = 0; i < n_scalars; ++i) {
     header.scalar_names.push_back(in.GetString());
+    // Writers emit a record's metric map in key order; replaying rows as
+    // records (export, online aggregation) relies on it.
+    if (i > 0 && header.scalar_names[i - 1] >= header.scalar_names[i]) {
+      throw std::runtime_error("corrupt binary results file: scalar column names not ascending");
+    }
   }
   const uint64_t n_dists = in.GetVarint();
   header.dist_names.reserve(n_dists);

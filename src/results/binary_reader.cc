@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 #include "crypto/crc32.h"
@@ -63,11 +64,9 @@ std::vector<MetricAggregate> ExactGroupAggregates(const BinaryGroup& group) {
   return aggregates;
 }
 
-// Replays the online (Welford + P-square) aggregation over the group's rows
-// in replication order — the same record sequence the original streamed
-// sweep fed its OnlineAggregator, so the estimates are identical.
-std::vector<MetricAggregate> OnlineGroupAggregates(const BinaryGroup& group) {
-  OnlineAggregator aggregator;
+// Replays the group's scalar rows to `consumer` as ReplicationRecords in
+// replication order — the record sequence the original run delivered.
+void ReplayRecords(const BinaryGroup& group, ResultConsumer& consumer) {
   ReplicationRecord record;
   VisitScalarRows(group, [&](uint64_t row, const std::vector<double>& values) {
     record.replication = row;
@@ -75,8 +74,16 @@ std::vector<MetricAggregate> OnlineGroupAggregates(const BinaryGroup& group) {
     for (size_t c = 0; c < values.size(); ++c) {
       record.metrics.emplace(group.header.scalar_names[c], values[c]);
     }
-    aggregator.OnRecord(record);
+    consumer.OnRecord(record);
   });
+}
+
+// Replays the online (Welford + P-square) aggregation over the group's rows
+// — the same record sequence the original streamed sweep fed its
+// OnlineAggregator, so the estimates are identical.
+std::vector<MetricAggregate> OnlineGroupAggregates(const BinaryGroup& group) {
+  OnlineAggregator aggregator;
+  ReplayRecords(group, aggregator);
   return aggregator.Aggregates();
 }
 
@@ -338,27 +345,11 @@ std::string ExportBinaryCsv(const BinaryResultsFile& file) {
       throw std::runtime_error("corrupt binary results file: campaign file with " +
                                std::to_string(file.groups.size()) + " groups");
     }
-    const BinaryGroup& group = file.groups.front();
-    // Matches StreamingCsvWriter bytes: no rows, no output (the streaming
-    // writer's header goes out with the first record).
-    if (group.header.n_rows == 0) {
-      return "";
-    }
-    std::string csv = "replication";
-    for (const std::string& name : group.header.scalar_names) {
-      csv += ",";
-      csv += CsvField(name);
-    }
-    csv += "\n";
-    VisitScalarRows(group, [&](uint64_t row, const std::vector<double>& values) {
-      csv += std::to_string(row);
-      for (double v : values) {
-        csv += ",";
-        csv += CsvNum(v);
-      }
-      csv += "\n";
-    });
-    return csv;
+    // The run's own per-replication CSV writer, fed the stored records.
+    std::ostringstream csv;
+    StreamingCsvWriter writer(csv);
+    ReplayRecords(file.groups.front(), writer);
+    return csv.str();
   }
   std::string csv = ResultSink::SweepLongCsvHeader(file.header.param_keys, file.header.streamed);
   for (const BinaryGroup& group : file.groups) {

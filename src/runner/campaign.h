@@ -2,6 +2,11 @@
 // scenario across a std::thread worker pool. Each replication gets its own
 // Simulator (built inside the scenario) and a substream-derived seed, so
 // results are deterministic and byte-identical for any worker count.
+//
+// Campaigns and sweeps share one run loop, RunPoints: a campaign is the
+// one-point case (seeded by base_seed), a sweep runs its shard's grid points
+// (each seeded by SweepPointSeed) through the same (point, replication)
+// task queue.
 
 #ifndef WLANSIM_RUNNER_CAMPAIGN_H_
 #define WLANSIM_RUNNER_CAMPAIGN_H_
@@ -16,8 +21,6 @@
 #include "runner/scenario.h"
 
 namespace wlansim {
-
-class ScenarioRegistry;
 
 struct CampaignOptions {
   std::string scenario;
@@ -47,37 +50,50 @@ struct CampaignResult {
   std::vector<MetricAggregate> aggregates;  // ordered by metric name
 };
 
-// Runs `total` independent tasks (task(0) .. task(total-1)) on a pool of
-// `jobs` worker threads (0 = hardware concurrency; the pool is clamped to
-// `total` so no idle threads spin up). Tasks are claimed from one shared
-// atomic counter, so any task can run on any thread — results must not
-// depend on the assignment. If a task throws, remaining unclaimed tasks are
-// skipped and the first exception is rethrown on the calling thread. Shared
-// by Campaign (replications) and RunSweepCampaign ((point, rep) pairs).
-void RunTaskPool(unsigned jobs, uint64_t total, const std::function<void(uint64_t)>& task);
+// One point of a run: the params every replication of it runs with, the base
+// seed its replication seeds derive from, and the consumers (not owned, must
+// outlive the run) that see its records after the built-in aggregator.
+struct RunPoint {
+  ScenarioParams params;
+  uint64_t seed = 1;
+  std::vector<ResultConsumer*> consumers;
+};
+
+// The one run loop behind Campaign::Run and RunSweepCampaign. Runs
+// `replications` replications of every point through one shared (point,
+// replication) task queue on `jobs` worker threads (0 = hardware
+// concurrency). Replication r of point p runs `scenario` with
+// points[p].params and seed SubstreamSeed(points[p].seed, scenario.name(), r),
+// so no result depends on which thread runs it. Each point owns a
+// ResultPipeline carrying one aggregator (MakeAggregator(stream)) then
+// points[p].consumers; every pipeline begins, in point order, before any
+// replication runs. A point ends once its last record is delivered (at once
+// when `replications` is zero); on_done(p, its aggregates ordered by metric
+// name) then fires, serialized and in ascending point order. The first
+// scenario exception is rethrown on the calling thread.
+void RunPoints(const Scenario& scenario, const std::vector<RunPoint>& points,
+               uint64_t replications, unsigned jobs, bool stream,
+               const std::function<void(size_t, std::vector<MetricAggregate>)>& on_done);
 
 class Campaign {
  public:
   explicit Campaign(const Scenario& scenario) : scenario_(scenario) {}
 
-  // Runs options.replications replications on options.jobs worker threads.
-  // Replication i runs with seed SubstreamSeed(base_seed, scenario, i): the
-  // assignment of replications to threads never affects any result.
-  // Scenario exceptions are rethrown on the calling thread.
-  //
-  // Each replication records through its own MetricRecorder (ctx.recorder)
-  // and the resulting records flow through a ResultPipeline in replication
-  // order to options.consumers plus the built-in aggregation consumer
-  // (exact by default, online when options.stream is set).
+  // Runs options.replications replications on options.jobs worker threads:
+  // RunPoints over one point with options.params, seed options.base_seed and
+  // options.consumers. Replication i runs with seed SubstreamSeed(base_seed,
+  // scenario, i), records through its own MetricRecorder (ctx.recorder), and
+  // reaches the consumers in replication order after the built-in
+  // aggregator (exact by default, online when options.stream is set).
   CampaignResult Run(const CampaignOptions& options) const;
 
  private:
   const Scenario& scenario_;
 };
 
-// Looks `options.scenario` up in ScenarioRegistry::Global(), validates the
-// params, and runs the campaign. Throws std::invalid_argument for an unknown
-// scenario or parameter.
+// Looks `options.scenario` up with ScenarioRegistry::Global().Get, validates
+// the params, and runs the campaign. Throws std::invalid_argument for an
+// unknown scenario or parameter.
 CampaignResult RunCampaign(const CampaignOptions& options);
 
 }  // namespace wlansim

@@ -18,7 +18,6 @@
 #include <exception>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -126,14 +125,46 @@ void PrintHotPathStats() {
                   HotPathStats::event_heap_fallbacks.load(std::memory_order_relaxed)));
 }
 
-bool WriteFileOrComplain(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
+// Opens `path` for writing into `out`, or leaves `out` closed when no path
+// was given. False, after saying so on stderr, when the file cannot be opened.
+bool OpenOutput(const std::string& path, std::ofstream& out) {
+  if (!path.empty()) {
+    out.open(path, std::ios::binary);
+  }
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return false;
   }
-  out << content;
   return true;
+}
+
+// The stdout aggregate table: one row per point and metric, led by the
+// point's parameter values. A campaign is the one-point case with no
+// parameter columns.
+void PrintAggregateTable(const std::vector<std::string>& param_keys, bool streamed,
+                         const std::vector<SweepPointResult>& points) {
+  std::vector<std::string> header = param_keys;
+  for (const char* col : {"metric", "count", "mean", "stddev", "ci95_half", "min", "max"}) {
+    header.emplace_back(col);
+  }
+  header.emplace_back(streamed ? "p50_approx" : "p50");
+  header.emplace_back(streamed ? "p95_approx" : "p95");
+  Table table(header);
+  for (const SweepPointResult& point : points) {
+    for (const MetricAggregate& a : point.aggregates) {
+      std::vector<std::string> row;
+      for (const auto& [key, value] : point.point) {
+        row.push_back(value);
+      }
+      row.push_back(a.metric);
+      row.push_back(std::to_string(a.count));
+      for (double v : {a.mean, a.stddev, a.ci95_half, a.min, a.max, a.p50, a.p95}) {
+        row.push_back(Table::Num(v, 4));
+      }
+      table.AddRow(row);
+    }
+  }
+  std::fputs(table.ToString().c_str(), stdout);
 }
 
 // Parses "I/N" into (index, count); false on anything else.
@@ -178,26 +209,17 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
   // The long CSV goes out through an ordered point sink, one grid point at a
   // time, while the sweep runs.
   std::ofstream csv_out;
-  std::unique_ptr<StreamingSweepCsvWriter> csv_writer;
-  if (!csv_path.empty()) {
-    csv_out.open(csv_path, std::ios::binary);
-    if (!csv_out) {
-      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
-      return 1;
-    }
-    csv_writer = std::make_unique<StreamingSweepCsvWriter>(csv_out);
-    options.point_sinks.push_back(csv_writer.get());
-  }
   std::ofstream binary_out;
-  std::unique_ptr<BinarySweepWriter> binary_writer;
-  if (!binary_out_path.empty()) {
-    binary_out.open(binary_out_path, std::ios::binary);
-    if (!binary_out) {
-      std::fprintf(stderr, "cannot write %s\n", binary_out_path.c_str());
-      return 1;
-    }
-    binary_writer = std::make_unique<BinarySweepWriter>(binary_out);
-    options.point_sinks.push_back(binary_writer.get());
+  if (!OpenOutput(csv_path, csv_out) || !OpenOutput(binary_out_path, binary_out)) {
+    return 1;
+  }
+  StreamingSweepCsvWriter csv_writer(csv_out);
+  BinarySweepWriter binary_writer(binary_out);
+  if (csv_out.is_open()) {
+    options.point_sinks.push_back(&csv_writer);
+  }
+  if (binary_out.is_open()) {
+    options.point_sinks.push_back(&binary_writer);
   }
   // Per-point aggregates only need buffering for the stdout table; a quiet
   // sweep runs with O(in-flight) memory.
@@ -220,28 +242,7 @@ int RunSweep(const CampaignOptions& base, const std::vector<std::string>& sweep_
                 result.scenario.c_str(), result.points.size(), options.grid.NumPoints(),
                 shard_index, shard_count, static_cast<unsigned long long>(result.replication_count),
                 static_cast<unsigned long long>(result.base_seed));
-    std::vector<std::string> header = result.param_keys;
-    for (const char* col : {"metric", "count", "mean", "stddev", "ci95_half", "min", "max"}) {
-      header.emplace_back(col);
-    }
-    header.emplace_back(result.streamed ? "p50_approx" : "p50");
-    header.emplace_back(result.streamed ? "p95_approx" : "p95");
-    Table table(header);
-    for (const SweepPointResult& point : result.points) {
-      for (const MetricAggregate& a : point.aggregates) {
-        std::vector<std::string> row;
-        for (const auto& [key, value] : point.point) {
-          row.push_back(value);
-        }
-        row.push_back(a.metric);
-        row.push_back(std::to_string(a.count));
-        for (double v : {a.mean, a.stddev, a.ci95_half, a.min, a.max, a.p50, a.p95}) {
-          row.push_back(Table::Num(v, 4));
-        }
-        table.AddRow(row);
-      }
-    }
-    std::fputs(table.ToString().c_str(), stdout);
+    PrintAggregateTable(result.param_keys, result.streamed, result.points);
   }
   if (verbose) {
     PrintHotPathStats();
@@ -417,33 +418,21 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // The per-replication CSV is written by a pipeline consumer while the
-  // campaign runs, so rows hit the disk as replications complete and are
-  // never all in memory at once.
+  // The per-replication CSV and the binary record stream are pipeline
+  // consumers, so rows hit the disk as replications complete and are never
+  // all in memory at once; binary records are stored whole in both modes.
   std::ofstream reps_out;
-  std::unique_ptr<StreamingCsvWriter> reps_writer;
-  if (!reps_csv_path.empty()) {
-    reps_out.open(reps_csv_path, std::ios::binary);
-    if (!reps_out) {
-      std::fprintf(stderr, "cannot write %s\n", reps_csv_path.c_str());
-      return 1;
-    }
-    reps_writer = std::make_unique<StreamingCsvWriter>(reps_out);
-    options.consumers.push_back(reps_writer.get());
-  }
-
-  // The binary record stream rides the same pipeline in both modes: every
-  // record is stored whole whether the aggregates are exact or online.
   std::ofstream binary_out;
-  std::unique_ptr<BinaryCampaignWriter> binary_writer;
-  if (!binary_out_path.empty()) {
-    binary_out.open(binary_out_path, std::ios::binary);
-    if (!binary_out) {
-      std::fprintf(stderr, "cannot write %s\n", binary_out_path.c_str());
-      return 1;
-    }
-    binary_writer = std::make_unique<BinaryCampaignWriter>(binary_out, options.stream);
-    options.consumers.push_back(binary_writer.get());
+  if (!OpenOutput(reps_csv_path, reps_out) || !OpenOutput(binary_out_path, binary_out)) {
+    return 1;
+  }
+  StreamingCsvWriter reps_writer(reps_out);
+  BinaryCampaignWriter binary_writer(binary_out, options.stream);
+  if (reps_out.is_open()) {
+    options.consumers.push_back(&reps_writer);
+  }
+  if (binary_out.is_open()) {
+    options.consumers.push_back(&binary_writer);
   }
 
   CampaignResult result;
@@ -454,30 +443,27 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string agg_csv = ResultSink::AggregatesToCsv(result.aggregates, result.streamed);
   if (!quiet) {
     std::printf("=== %s: %llu replication(s), base seed %llu%s ===\n", result.scenario.c_str(),
                 static_cast<unsigned long long>(result.replication_count),
                 static_cast<unsigned long long>(result.base_seed),
                 result.streamed ? ", streamed" : "");
-    Table table({"metric", "count", "mean", "stddev", "ci95_half", "min", "max",
-                 result.streamed ? "p50_approx" : "p50", result.streamed ? "p95_approx" : "p95"});
-    for (const MetricAggregate& a : result.aggregates) {
-      table.AddRow({a.metric, std::to_string(a.count), Table::Num(a.mean, 4),
-                    Table::Num(a.stddev, 4), Table::Num(a.ci95_half, 4), Table::Num(a.min, 4),
-                    Table::Num(a.max, 4), Table::Num(a.p50, 4), Table::Num(a.p95, 4)});
-    }
-    std::fputs(table.ToString().c_str(), stdout);
+    PrintAggregateTable({}, result.streamed, {{0, {}, result.aggregates}});
   }
-  if (!csv_path.empty() && !WriteFileOrComplain(csv_path, agg_csv)) {
+  std::ofstream csv_out;
+  if (!OpenOutput(csv_path, csv_out)) {
     return 1;
   }
-  if (!json_path.empty() &&
-      !WriteFileOrComplain(json_path, ResultSink::AggregatesToJson(result.scenario,
-                                                                   result.replication_count,
-                                                                   result.aggregates,
-                                                                   result.streamed))) {
+  if (csv_out.is_open()) {
+    csv_out << ResultSink::AggregatesToCsv(result.aggregates, result.streamed);
+  }
+  std::ofstream json_out;
+  if (!OpenOutput(json_path, json_out)) {
     return 1;
+  }
+  if (json_out.is_open()) {
+    json_out << ResultSink::AggregatesToJson(result.scenario, result.replication_count,
+                                             result.aggregates, result.streamed);
   }
   if (verbose) {
     PrintHotPathStats();

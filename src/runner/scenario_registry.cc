@@ -25,6 +25,18 @@ const Scenario* ScenarioRegistry::Find(std::string_view name) const {
   return it == scenarios_.end() ? nullptr : it->second.get();
 }
 
+const Scenario& ScenarioRegistry::Get(std::string_view name) const {
+  const Scenario* scenario = Find(name);
+  if (scenario == nullptr) {
+    std::string msg = "unknown scenario '" + std::string(name) + "'; available:";
+    for (const std::string& known : Names()) {
+      msg += " " + known;
+    }
+    throw std::invalid_argument(msg);
+  }
+  return *scenario;
+}
+
 std::vector<std::string> ScenarioRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(scenarios_.size());

@@ -28,6 +28,10 @@ class ScenarioRegistry {
   // nullptr when unknown.
   const Scenario* Find(std::string_view name) const;
 
+  // The scenario named `name`. Throws std::invalid_argument naming it and
+  // listing every registered scenario when unknown.
+  const Scenario& Get(std::string_view name) const;
+
   // Sorted scenario names.
   std::vector<std::string> Names() const;
 

@@ -1,15 +1,11 @@
 #include "runner/sweep.h"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/random.h"
 #include "runner/campaign.h"
-#include "runner/metric_recorder.h"
 #include "runner/result_consumer.h"
 #include "runner/scenario_registry.h"
 
@@ -218,61 +214,29 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
 
   // Validate the whole grid's keys up front (all points share them), so an
   // unknown parameter fails fast even when this shard's slice is empty.
-  const Scenario* scenario_ptr = ScenarioRegistry::Global().Find(options.scenario);
+  const Scenario& scenario = ScenarioRegistry::Global().Get(options.scenario);
   {
-    CampaignOptions probe;
-    probe.scenario = options.scenario;
-    probe.params = options.base_params;
+    ScenarioParams probe = options.base_params;
     for (const auto& [key, value] : options.grid.Point(0)) {
-      probe.params.Set(key, value);
+      probe.Set(key, value);
     }
-    if (scenario_ptr == nullptr) {
-      // Reuse RunCampaign's unknown-scenario message (lists what exists);
-      // zero replications so the throw is the only effect.
-      probe.replications = 0;
-      RunCampaign(probe);
-      throw std::invalid_argument("unknown scenario '" + options.scenario + "'");  // unreachable
-    }
-    scenario_ptr->ValidateParams(probe.params);
+    scenario.ValidateParams(probe);
   }
 
   SweepResult result;
   result.scenario = options.scenario;
   result.base_seed = options.base_seed;
   result.replication_count = options.replications;
-  result.param_keys = options.grid.Keys();
-
   result.streamed = options.stream;
-
-  // One global (point, rep) work queue: with per-point parallelism alone,
-  // reps < jobs leaves workers idle at every grid point; flattening the
-  // whole shard's task space keeps the pool saturated. Replication seeds
-  // stay keyed by (point assignment, rep), never by which thread or in what
-  // order a task runs, so the CSV is byte-identical for any --jobs value.
-  const size_t n_points = end - begin;
-  const uint64_t reps = options.replications;
-  const Scenario& scenario = *scenario_ptr;
-
-  // Each grid point owns a result pipeline with one aggregation consumer:
-  // exact by default, online (O(metrics) memory) when streaming. The worker
-  // that finishes a point's last rep aggregates it and frees the collector,
-  // so exact-mode peak memory stays O(reps) per in-flight point — and
-  // streaming mode is O(metrics) per point outright.
-  struct PointCollector {
-    PointCollector(CampaignManifest manifest, bool stream)
-        : pipeline(std::move(manifest)), aggregator(MakeAggregator(stream)) {
-      pipeline.AddConsumer(aggregator.get());
-    }
-    ResultPipeline pipeline;
-    std::unique_ptr<AggregatingConsumer> aggregator;
-  };
+  result.param_keys = options.grid.Keys();
 
   // Announce the sweep to the point sinks before any point is set up, so
   // MakePointConsumer always runs on a sink that has seen its manifest.
+  const size_t n_points = end - begin;
   SweepManifest sweep_manifest;
   sweep_manifest.scenario = options.scenario;
   sweep_manifest.base_seed = options.base_seed;
-  sweep_manifest.replications = reps;
+  sweep_manifest.replications = options.replications;
   sweep_manifest.streamed = options.stream;
   sweep_manifest.param_keys = result.param_keys;
   sweep_manifest.shard_points = n_points;
@@ -281,35 +245,31 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     sink->BeginSweep(sweep_manifest);
   }
 
+  // Replication seeds are keyed by (point assignment, rep), never by which
+  // thread or in what order a task runs, so the output is byte-identical for
+  // any --jobs value and any shard split.
   std::vector<SweepPointInfo> point_infos(n_points);
-  std::vector<ScenarioParams> point_params(n_points);
-  std::vector<std::unique_ptr<PointCollector>> collectors(n_points);
+  std::vector<RunPoint> points(n_points);
   // Per point, one optional consumer per sink (parallel to point_sinks).
   std::vector<std::vector<std::unique_ptr<ResultConsumer>>> point_consumers(n_points);
-  std::vector<std::atomic<uint64_t>> completed(n_points);
   for (size_t p = 0; p < n_points; ++p) {
     SweepPointInfo& info = point_infos[p];
     info.point_index = begin + p;
     info.point = options.grid.Point(begin + p);
-    point_params[p] = options.base_params;
-    for (const auto& [key, value] : info.point) {
-      point_params[p].Set(key, value);
-    }
     info.point_seed = SweepPointSeed(options.base_seed, info.point);
-    CampaignManifest manifest;
-    manifest.scenario = options.scenario;
-    manifest.base_seed = info.point_seed;
-    manifest.replications = reps;
-    collectors[p] = std::make_unique<PointCollector>(std::move(manifest), options.stream);
+    points[p].params = options.base_params;
+    for (const auto& [key, value] : info.point) {
+      points[p].params.Set(key, value);
+    }
+    points[p].seed = info.point_seed;
     point_consumers[p].reserve(options.point_sinks.size());
     for (SweepPointSink* sink : options.point_sinks) {
       std::unique_ptr<ResultConsumer> consumer = sink->MakePointConsumer(info);
       if (consumer != nullptr) {
-        collectors[p]->pipeline.AddConsumer(consumer.get());
+        points[p].consumers.push_back(consumer.get());
       }
       point_consumers[p].push_back(std::move(consumer));
     }
-    collectors[p]->pipeline.Begin();
   }
   if (options.retain_points) {
     result.points.resize(n_points);
@@ -319,47 +279,17 @@ SweepResult RunSweepCampaign(const SweepOptions& options) {
     }
   }
 
-  // Points complete in worker order, but sinks see them in grid order:
-  // a completed point parks its aggregates here until every earlier point
-  // is done, then the in-order prefix flushes under the lock — the same
-  // reorder-buffer shape ResultPipeline uses per replication. Depth is
-  // bounded by the pool's completion skew, never by the grid size.
-  std::mutex sink_mu;
-  size_t next_point = 0;
-  std::map<size_t, std::vector<MetricAggregate>> pending_done;
-
-  RunTaskPool(options.jobs, static_cast<uint64_t>(n_points) * reps, [&](uint64_t task) {
-    const size_t p = static_cast<size_t>(task / reps);
-    const uint64_t rep = task % reps;
-    ReplicationContext ctx;
-    ctx.replication = rep;
-    ctx.seed = SubstreamSeed(point_infos[p].point_seed, scenario.name(), rep);
-    MetricRecorder recorder;
-    ctx.recorder = &recorder;
-    const ReplicationResult returned = scenario.Run(point_params[p], ctx);
-    PointCollector& collector = *collectors[p];
-    collector.pipeline.Deliver(recorder.Finish(rep, returned));
-    if (completed[p].fetch_add(1, std::memory_order_acq_rel) + 1 == reps) {
-      collector.pipeline.End();
-      std::vector<MetricAggregate> aggregates = collector.aggregator->Aggregates();
-      collectors[p].reset();
-      if (options.retain_points) {
-        result.points[p].aggregates = aggregates;
-      }
-      std::lock_guard<std::mutex> lock(sink_mu);
-      pending_done.emplace(p, std::move(aggregates));
-      while (!pending_done.empty() && pending_done.begin()->first == next_point) {
-        const size_t q = pending_done.begin()->first;
-        for (size_t s = 0; s < options.point_sinks.size(); ++s) {
-          options.point_sinks[s]->OnPointDone(point_infos[q], pending_done.begin()->second,
-                                              point_consumers[q][s].get());
-        }
-        point_consumers[q].clear();
-        pending_done.erase(pending_done.begin());
-        ++next_point;
-      }
-    }
-  });
+  RunPoints(scenario, points, options.replications, options.jobs, options.stream,
+            [&](size_t p, std::vector<MetricAggregate> aggregates) {
+              for (size_t s = 0; s < options.point_sinks.size(); ++s) {
+                options.point_sinks[s]->OnPointDone(point_infos[p], aggregates,
+                                                    point_consumers[p][s].get());
+              }
+              point_consumers[p].clear();
+              if (options.retain_points) {
+                result.points[p].aggregates = std::move(aggregates);
+              }
+            });
 
   for (SweepPointSink* sink : options.point_sinks) {
     sink->EndSweep();

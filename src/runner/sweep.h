@@ -1,12 +1,12 @@
 // Parameter-sweep campaigns: expand a cartesian grid of scenario parameters,
-// feed every (grid point, replication) pair of this shard through one global
-// worker pool, and aggregate everything into one long-format table. The
-// flattened task queue keeps the pool saturated even when replications <
-// jobs (per-point batching would idle the spare workers at every point).
-// Replication seeds are derived from the *parameter assignment* of each
-// point (not its grid index, shard, or worker), so results are
-// byte-identical for any --jobs value, any --shard=i/n split, and even any
-// axis ordering.
+// take this shard's slice, and run its grid points through RunPoints, the
+// run loop a single campaign also uses (src/runner/campaign.h): one
+// (grid point, replication) task queue feeds one worker pool, and
+// everything aggregates into one long-format table. The flattened queue
+// keeps the pool saturated even when replications < jobs. Replication
+// seeds are derived from the *parameter assignment* of each point (not its
+// grid index, shard, or worker), so results are byte-identical for any
+// --jobs value, any --shard=i/n split, and even any axis ordering.
 
 #ifndef WLANSIM_RUNNER_SWEEP_H_
 #define WLANSIM_RUNNER_SWEEP_H_
@@ -91,9 +91,9 @@ struct SweepPointInfo {
 };
 
 // A sweep-wide consumer of per-point completions. Points finish in
-// completion order on the worker pool, but the engine re-orders them
-// (reorder buffer keyed by grid index, the same trick ResultPipeline plays
-// per replication) so OnPointDone always fires in ascending grid order,
+// completion order on the worker pool, but the run loop re-orders them
+// (reorder buffer keyed by point, the same trick ResultPipeline plays per
+// replication) so OnPointDone always fires in ascending grid order,
 // serialized — sinks need no synchronization and can stream ordered output
 // while later points are still running.
 class SweepPointSink {
@@ -105,7 +105,7 @@ class SweepPointSink {
 
   // A sink may request a per-point ResultConsumer, attached to that point's
   // result pipeline (records arrive in replication order, serialized). The
-  // engine owns the consumer and hands it back in OnPointDone so the sink
+  // sweep owns the consumer and hands it back in OnPointDone so the sink
   // can harvest whatever it accumulated. Return nullptr (the default) when
   // the per-point aggregates suffice. Called serially during sweep setup,
   // in grid order, before any replication runs.
@@ -197,10 +197,11 @@ struct SweepResult {
 uint64_t SweepPointSeed(uint64_t base_seed,
                         const std::vector<std::pair<std::string, std::string>>& point);
 
-// Expands the grid, takes this shard's slice, and runs one Campaign
-// (options.replications replications on options.jobs threads) per grid
-// point. Throws std::invalid_argument for an unknown scenario, an unknown or
-// ambiguous parameter, or an invalid shard spec.
+// Expands the grid, takes this shard's slice, and runs its points through
+// RunPoints: options.replications replications per point, point p seeded by
+// SweepPointSeed, all on options.jobs threads. Throws std::invalid_argument
+// for an unknown scenario, an unknown or ambiguous parameter, or an invalid
+// shard spec.
 SweepResult RunSweepCampaign(const SweepOptions& options);
 
 }  // namespace wlansim

@@ -409,12 +409,6 @@ TEST(Packet, TrailerOps) {
   EXPECT_EQ(p.bytes()[2], 3);
 }
 
-TEST(Packet, UniqueUids) {
-  Packet a(1);
-  Packet b(1);
-  EXPECT_NE(a.uid(), b.uid());
-}
-
 TEST(Packet, CopyPreservesMetaAndBytes) {
   Packet a(std::vector<uint8_t>{5, 6, 7});
   a.meta().flow_id = 42;
@@ -437,12 +431,11 @@ TEST(Packet, EmptySpanConstructs) {
 
 // --- Packet copy-on-write ---------------------------------------------------------
 
-TEST(PacketCow, CopySharesBufferAndUid) {
+TEST(PacketCow, CopySharesBuffer) {
   Packet a(std::vector<uint8_t>{1, 2, 3, 4});
   Packet b = a;
   EXPECT_TRUE(a.SharesBufferWith(b));
   EXPECT_EQ(a.buffer_refcount(), 2u);
-  EXPECT_EQ(a.uid(), b.uid());
   EXPECT_EQ(b.bytes()[3], 4);
 }
 
@@ -455,7 +448,6 @@ TEST(PacketCow, MutableBytesDetachesAndLeavesSiblingIntact) {
   EXPECT_EQ(b.buffer_refcount(), 1u);
   EXPECT_EQ(a.bytes()[0], 1);  // sibling never sees the mutation
   EXPECT_EQ(b.bytes()[0], 99);
-  EXPECT_EQ(a.uid(), b.uid());  // detaching does not re-identify the view
 }
 
 TEST(PacketCow, AddHeaderDetachesSharedBuffer) {

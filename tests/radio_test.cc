@@ -237,14 +237,13 @@ TEST(RadioSeam, FanOutSharesOneBufferAcrossReceivers) {
                                            false));
   sim.Run();
 
-  // Every receiver holds a view of the sender's buffer — same uid, same
-  // bytes, no deep copy anywhere in the fan-out.
+  // Every receiver holds a view of the sender's buffer — same bytes, no
+  // deep copy anywhere in the fan-out.
   ASSERT_EQ(r1.received().size(), 1u);
   ASSERT_EQ(r2.received().size(), 1u);
   ASSERT_EQ(r3.received().size(), 1u);
   for (CapturingSink* rx : {&r1, &r2, &r3}) {
     EXPECT_TRUE(rx->received()[0].SharesBufferWith(frame));
-    EXPECT_EQ(rx->received()[0].uid(), frame.uid());
     EXPECT_EQ(rx->received()[0].bytes()[1], 20);
   }
   EXPECT_EQ(frame.buffer_refcount(), 4u);  // the original + three views

@@ -147,6 +147,18 @@ TEST(BinaryHeaders, FileAndGroupHeadersRoundTrip) {
   EXPECT_EQ(gh2.dist_geometries[0].bin_width, 25.0);
   EXPECT_EQ(gh2.dist_geometries[0].n_bins, 40u);
   EXPECT_EQ(gin.remaining(), 0u);
+
+  // Scalar columns are a record's metric map in key order; export and the
+  // online replay rebuild records from them, so any other order is damage.
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"value_0", "count_0"},
+        std::vector<std::string>{"count_0", "count_0"}}) {
+    gh.scalar_names = names;
+    std::string bad;
+    EncodeGroupHeader(bad, gh);
+    ByteReader bad_in(bad);
+    EXPECT_THROW(DecodeGroupHeader(bad_in), std::runtime_error);
+  }
 }
 
 // --- end-to-end campaign/sweep fixtures ----------------------------------------
@@ -235,6 +247,20 @@ TEST(BinaryReader, CampaignExportMatchesCsvWritersByteForByte) {
   RunCampaign(options);
 
   EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), streamed_csv.str());
+}
+
+TEST(BinaryReader, ZeroRowCampaignExportsNothingLikeTheCsvWriter) {
+  std::ostringstream streamed_csv;
+  StreamingCsvWriter csv_writer(streamed_csv);
+  std::ostringstream bin;
+  BinaryCampaignWriter bin_writer(bin, /*streamed=*/false);
+  CampaignOptions options = ProbeCampaign(2, 0);
+  options.consumers.push_back(&csv_writer);
+  options.consumers.push_back(&bin_writer);
+  RunCampaign(options);
+
+  EXPECT_EQ(streamed_csv.str(), "");
+  EXPECT_EQ(ExportBinaryCsv(ParseBinaryResults(bin.str())), "");
 }
 
 TEST(BinaryReader, SweepExportMatchesLongCsvByteForByte) {

@@ -525,6 +525,41 @@ TEST(Campaign, DifferentSeedsAcrossReplications) {
   EXPECT_EQ(seen.size(), collector.records.size());
 }
 
+// Counts every lifecycle call the pipeline makes on it.
+class LifecycleSpy final : public ResultConsumer {
+ public:
+  void BeginCampaign(const CampaignManifest&) override { ++begins; }
+  void OnRecord(const ReplicationRecord&) override { ++records; }
+  void EndCampaign() override { ++ends; }
+
+  int begins = 0;
+  int records = 0;
+  int ends = 0;
+};
+
+TEST(Campaign, ZeroReplicationsBeginAndEndEveryConsumerOnce) {
+  // No replication ever completes, so nothing "last" can end the campaign:
+  // it must still open and close every consumer exactly once.
+  SeedEchoScenario scenario;
+  for (bool stream : {false, true}) {
+    CampaignOptions options;
+    options.replications = 0;
+    options.jobs = 4;
+    options.stream = stream;
+    LifecycleSpy first;
+    LifecycleSpy second;
+    options.consumers = {&first, &second};
+    const CampaignResult result = Campaign(scenario).Run(options);
+    EXPECT_TRUE(result.aggregates.empty());
+    EXPECT_EQ(result.replication_count, 0u);
+    for (const LifecycleSpy* spy : {&first, &second}) {
+      EXPECT_EQ(spy->begins, 1) << stream;
+      EXPECT_EQ(spy->records, 0) << stream;
+      EXPECT_EQ(spy->ends, 1) << stream;
+    }
+  }
+}
+
 class ThrowingScenario final : public Scenario {
  public:
   std::string_view name() const override { return "throwing"; }

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "runner/campaign.h"
 #include "runner/result_consumer.h"
 #include "runner/result_sink.h"
 #include "runner/scenario_registry.h"
@@ -299,6 +300,29 @@ TEST(SweepCampaign, UnknownSweepKeyRejected) {
   SweepOptions options = ProbeOptions(1, 0, 1);
   options.grid.AddAxis(ParseSweepAxis("not_a_param=1,2"));
   EXPECT_THROW(RunSweepCampaign(options), std::invalid_argument);
+}
+
+TEST(SweepCampaign, UnknownScenarioErrorListsAvailable) {
+  SweepOptions options = ProbeOptions(1, 0, 1);
+  options.scenario = "no_such_scenario";
+  try {
+    RunSweepCampaign(options);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown scenario 'no_such_scenario'; available:"), std::string::npos);
+    EXPECT_NE(msg.find("saturation"), std::string::npos);
+    EXPECT_NE(msg.find("sweep_probe_test"), std::string::npos);
+    // One lookup serves both entry points: the campaign says the same.
+    CampaignOptions campaign;
+    campaign.scenario = options.scenario;
+    try {
+      RunCampaign(campaign);
+      FAIL() << "expected std::invalid_argument from the campaign";
+    } catch (const std::invalid_argument& c) {
+      EXPECT_EQ(std::string(c.what()), msg);
+    }
+  }
 }
 
 TEST(SweepCampaign, UnknownKeyRejectedEvenOnEmptyShardSlice) {
