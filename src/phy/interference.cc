@@ -55,8 +55,8 @@ const InterferenceTracker::Signal* InterferenceTracker::FindSignal(uint64_t id) 
 uint64_t InterferenceTracker::AddSignal(Time start, Time end, double power_w) {
   const uint64_t id = next_id_++;
   signals_.push_back(Signal{id, start, end, power_w});
-  events_.push_back(Event{start, id, power_w, true});
-  events_.push_back(Event{end, id, power_w, false});
+  events_.push_back(Event{start, end, id, power_w, true});
+  events_.push_back(Event{end, end, id, power_w, false});
   if (end < min_live_end_) {
     min_live_end_ = end;
   }
@@ -276,11 +276,12 @@ double InterferenceTracker::MeanSinr(const ReceptionPlan& plan) const {
 
 void InterferenceTracker::ExpireInternal(Time before, bool respect_pin) {
   const uint64_t spared = respect_pin ? pinned_id_ : 0;
-  dropped_scratch_.clear();
+  const auto expires = [&](Time end, uint64_t id) { return end <= before && id != spared; };
+  size_t dropped = 0;
   Time min_end = Time::Max();
   std::erase_if(signals_, [&](const Signal& s) {
-    if (s.end <= before && s.id != spared) {
-      dropped_scratch_.push_back(s.id);  // ascending: signals_ is id-sorted
+    if (expires(s.end, s.id)) {
+      ++dropped;
       return true;
     }
     if (s.end < min_end) {
@@ -289,20 +290,20 @@ void InterferenceTracker::ExpireInternal(Time before, bool respect_pin) {
     return false;
   });
   min_live_end_ = min_end;
-  stats_.cleanup_drops += dropped_scratch_.size();
-  if (dropped_scratch_.empty()) {
+  stats_.cleanup_drops += dropped;
+  if (dropped == 0) {
     return;
   }
 
   // Prune the timeline to the surviving signals, preserving relative order
   // so the sorted prefix stays sorted and the pending tail stays pending.
-  // Dropped events all have t <= before, so later events skip the id check.
+  // An event carries its signal's end and id, so the test that dropped the
+  // signal drops exactly its events.
   size_t kept = 0;
   size_t kept_sorted = 0;
   for (size_t i = 0; i < events_.size(); ++i) {
     const Event& e = events_[i];
-    if (e.t <= before &&
-        std::binary_search(dropped_scratch_.begin(), dropped_scratch_.end(), e.id)) {
+    if (expires(e.end, e.id)) {
       continue;
     }
     events_[kept] = e;

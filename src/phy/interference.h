@@ -138,9 +138,12 @@ class InterferenceTracker {
 
   // One timeline entry: a signal's start (+power) or end (-power) instant.
   // Ordered by (t, id, start-before-end) so a zero-length signal is applied
-  // and retired within the same boundary and never pollutes a chunk.
+  // and retired within the same boundary and never pollutes a chunk. `end`
+  // is the signal's end, so expiry can tell a dropped signal's events
+  // without looking the id up.
   struct Event {
     Time t;
+    Time end;
     uint64_t id;
     double power_w;
     bool is_start;
@@ -180,7 +183,6 @@ class InterferenceTracker {
     double power_w;
   };
   mutable std::vector<ActiveSignal> active_;
-  std::vector<uint64_t> dropped_scratch_;  // ids dropped by the current expiry
 
   mutable Stats stats_;
 };

@@ -141,8 +141,7 @@ void RunPoints(const Scenario& scenario, const std::vector<RunPoint>& points,
     ctx.seed = SubstreamSeed(points[p].seed, scenario.name(), rep);
     MetricRecorder recorder;
     ctx.recorder = &recorder;
-    const ReplicationResult returned = scenario.Run(points[p].params, ctx);
-    runs[p]->pipeline.Deliver(recorder.Finish(rep, returned));
+    runs[p]->pipeline.Deliver(recorder.Finish(rep, scenario.Run(points[p].params, ctx)));
     if (delivered[p].fetch_add(1, std::memory_order_acq_rel) + 1 == replications) {
       end_point(p);
     }

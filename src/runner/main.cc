@@ -138,6 +138,26 @@ bool OpenOutput(const std::string& path, std::ofstream& out) {
   return true;
 }
 
+// Writes `text` to `path`, or nothing when no path was given. False, after
+// saying so on stderr, when the file cannot be opened or written: a full
+// disk shows only once the stream is flushed, as in the streamed writers.
+bool WriteOutput(const std::string& path, const std::string& text) {
+  if (path.empty()) {
+    return true;
+  }
+  std::ofstream out;
+  if (!OpenOutput(path, out)) {
+    return false;
+  }
+  out << text;
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "error: write to %s failed\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 // The stdout aggregate table: one row per point and metric, led by the
 // point's parameter values. A campaign is the one-point case with no
 // parameter columns.
@@ -450,20 +470,11 @@ int Main(int argc, char** argv) {
                 result.streamed ? ", streamed" : "");
     PrintAggregateTable({}, result.streamed, {{0, {}, result.aggregates}});
   }
-  std::ofstream csv_out;
-  if (!OpenOutput(csv_path, csv_out)) {
+  if (!WriteOutput(csv_path, ResultSink::AggregatesToCsv(result.aggregates, result.streamed)) ||
+      !WriteOutput(json_path,
+                   ResultSink::AggregatesToJson(result.scenario, result.replication_count,
+                                                result.aggregates, result.streamed))) {
     return 1;
-  }
-  if (csv_out.is_open()) {
-    csv_out << ResultSink::AggregatesToCsv(result.aggregates, result.streamed);
-  }
-  std::ofstream json_out;
-  if (!OpenOutput(json_path, json_out)) {
-    return 1;
-  }
-  if (json_out.is_open()) {
-    json_out << ResultSink::AggregatesToJson(result.scenario, result.replication_count,
-                                             result.aggregates, result.streamed);
   }
   if (verbose) {
     PrintHotPathStats();

@@ -49,10 +49,12 @@ void MetricRecorder::AddHistogramSample(const std::string& name, double value) {
   it->second.summary.Add(value);
 }
 
-ReplicationRecord MetricRecorder::Finish(uint64_t replication,
-                                         const ReplicationResult& returned) const {
+ReplicationRecord MetricRecorder::Finish(uint64_t replication, ReplicationResult returned) const {
+  // The returned map moves in whole; every recorded name then goes through
+  // EmitMetric, so a collision with a returned scalar still throws.
   ReplicationRecord record;
   record.replication = replication;
+  record.metrics = std::move(returned.metrics);
   for (const auto& [name, value] : counters_) {
     EmitMetric(record.metrics, name, value);
   }
@@ -88,9 +90,6 @@ ReplicationRecord MetricRecorder::Finish(uint64_t replication,
     snapshot.max = state.summary.max();
     snapshot.mean = state.summary.mean();
     record.distributions.emplace(name, std::move(snapshot));
-  }
-  for (const auto& [name, value] : returned.metrics) {
-    EmitMetric(record.metrics, name, value);
   }
   return record;
 }

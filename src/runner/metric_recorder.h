@@ -55,7 +55,8 @@ struct ReplicationRecord {
 //   - a histogram named H becomes H_p10 / H_p50 / H_p90 (interpolated bin
 //     quantiles) plus H_mean / H_min / H_max, and its full bin vector rides
 //     along in ReplicationRecord::distributions;
-//   - the scalars Run() returned are merged last.
+//   - the scalars Run() returned are moved in as the record's map, and the
+//     recorded metrics above are merged into it.
 // Any name collision between those sources throws std::logic_error: a
 // silently overwritten metric is a campaign-correctness bug.
 class MetricRecorder {
@@ -82,8 +83,10 @@ class MetricRecorder {
   }
 
   // Folds everything recorded plus `returned` into the replication's record.
-  // Throws std::logic_error on any metric-name collision.
-  ReplicationRecord Finish(uint64_t replication, const ReplicationResult& returned) const;
+  // `returned` is taken by value and its map becomes the record's map, so a
+  // caller that moves it in pays no copy. Throws std::logic_error on any
+  // metric-name collision.
+  ReplicationRecord Finish(uint64_t replication, ReplicationResult returned) const;
 
  private:
   struct HistogramState {

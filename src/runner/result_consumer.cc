@@ -110,10 +110,35 @@ void StreamingCsvWriter::EndCampaign() {
   }
 }
 
-void ExactAggregator::OnRecord(const ReplicationRecord& record) {
-  for (const auto& [name, value] : record.metrics) {
-    columns_[name].push_back(value);
+namespace {
+
+// Calls add(column, value) for each of the record's metrics with the
+// aggregator's column of the same name. Both maps are ordered by name, so
+// one walk in step pairs them without a search; a column is created, at
+// its hinted place, only for a name the aggregator has not seen before. A
+// column the record lacks is stepped over, so ragged records still fold
+// per column.
+template <typename Column, typename Add>
+void FoldInStep(std::map<std::string, Column>& columns,
+                const std::map<std::string, double>& metrics, Add add) {
+  auto column = columns.begin();
+  for (const auto& [name, value] : metrics) {
+    while (column != columns.end() && column->first < name) {
+      ++column;
+    }
+    if (column == columns.end() || name < column->first) {
+      column = columns.try_emplace(column, name);
+    }
+    add(column->second, value);
+    ++column;
   }
+}
+
+}  // namespace
+
+void ExactAggregator::OnRecord(const ReplicationRecord& record) {
+  FoldInStep(columns_, record.metrics,
+             [](std::vector<double>& values, double value) { values.push_back(value); });
 }
 
 std::vector<MetricAggregate> ExactAggregator::Aggregates() const {
@@ -126,12 +151,11 @@ std::vector<MetricAggregate> ExactAggregator::Aggregates() const {
 }
 
 void OnlineAggregator::OnRecord(const ReplicationRecord& record) {
-  for (const auto& [name, value] : record.metrics) {
-    MetricState& state = metrics_.try_emplace(name).first->second;
+  FoldInStep(metrics_, record.metrics, [](MetricState& state, double value) {
     state.summary.Add(value);
     state.p50.Add(value);
     state.p95.Add(value);
-  }
+  });
 }
 
 std::vector<MetricAggregate> OnlineAggregator::Aggregates() const {

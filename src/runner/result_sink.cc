@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <limits>
 
 namespace wlansim {
@@ -19,16 +19,19 @@ const char* P95Label(bool approx) { return approx ? "p95_approx" : "p95"; }
 }  // namespace
 
 // Fixed-width, locale-independent number formatting so identical campaigns
-// produce byte-identical files.
+// produce byte-identical files. The standard defines to_chars' general
+// format with a precision as printf's in the C locale; it skips printf's
+// format parsing and locale lookups.
 std::string CsvNum(double v) {
   // printf spells a NaN with its sign bit set "-nan" on glibc, and which
   // sign an operation's NaN carries is up to the compiler and the CPU.
   if (std::isnan(v)) {
     return "nan";
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  char buf[32];  // "%.9g" needs at most 16: "-1.23456789e+308"
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 9);
+  return std::string(buf, r.ptr);
 }
 
 std::string CsvField(const std::string& field) {

@@ -58,7 +58,9 @@ double StudentT95(uint64_t df);
 std::string CsvField(const std::string& field);
 
 // The fixed-width, locale-independent "%.9g" number format every CSV/JSON
-// writer (and the sweep range expansion) uses. Every NaN prints as "nan",
+// writer (and the sweep range expansion) uses. The bytes are printf's
+// "%.9g" in the C locale; std::to_chars (general format, precision 9)
+// produces them without calling printf. Every NaN prints as "nan",
 // whatever its sign bit, so a column's bytes never depend on how the build
 // produced the NaN.
 std::string CsvNum(double v);

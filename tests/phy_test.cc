@@ -424,6 +424,45 @@ TEST(Interference, PinnedSignalSurvivesExpiry) {
   EXPECT_EQ(tracker.ActiveSignalCount(), with_pinned - 1);
 }
 
+TEST(Interference, PinnedSignalKeepsItsTimelineEvents) {
+  // Expiry spares the pinned signal, and must spare its timeline events
+  // too: a surviving reception that overlapped it still sees it as an
+  // interferer. The same window over a tracker that never expired anything
+  // is the oracle, bit for bit.
+  const Time p_start = Time::Micros(100);
+  const Time p_end = Time::Micros(110);
+  const Time s_start = Time::Micros(105);
+  const Time s_end = Time::Micros(1000);
+  InterferenceTracker tracker;
+  const uint64_t pinned = tracker.AddSignal(p_start, p_end, 1e-8);
+  tracker.PinSignal(pinned);
+  const uint64_t survivor = tracker.AddSignal(s_start, s_end, 1e-7);
+  for (int i = 0; i < 70; ++i) {
+    tracker.AddSignal(Time::Micros(200 + i), Time::Micros(201 + i), 1e-9);
+  }
+  ASSERT_GT(tracker.stats().cleanup_drops, 0u);  // expiry ran past p_end
+
+  InterferenceTracker fresh;
+  fresh.AddSignal(p_start, p_end, 1e-8);
+  const uint64_t fresh_survivor = fresh.AddSignal(s_start, s_end, 1e-7);
+
+  InterferenceTracker::ReceptionPlan plan;
+  plan.start = s_start;
+  plan.payload_start = s_start;
+  plan.end = Time::Micros(150);  // ends before the later signals start
+  plan.header_mode = BaseModeFor(PhyStandard::k80211b);
+  plan.payload_mode = BaseModeFor(PhyStandard::k80211b);
+  plan.header_bits = 48;
+  plan.payload_bits = 80;
+  plan.noise_w = DbmToW(-94);
+  plan.signal_id = survivor;
+  const double got = tracker.MeanSinr(plan);
+  plan.signal_id = fresh_survivor;
+  const double want = fresh.MeanSinr(plan);
+  EXPECT_EQ(got, want);
+  EXPECT_LT(want, 1e-7 / DbmToW(-94));  // the pinned signal does interfere
+}
+
 TEST(Interference, TimeWhenPowerBelowContract) {
   InterferenceTracker tracker;
   ReferenceInterferenceTracker reference;

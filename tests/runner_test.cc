@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -18,6 +20,7 @@
 #include "runner/result_sink.h"
 #include "runner/scenario.h"
 #include "runner/scenario_registry.h"
+#include "stats/p2_quantile.h"
 #include "stats/summary.h"
 #include "tests/support/result_helpers.h"
 
@@ -394,6 +397,59 @@ TEST(ExactAggregateTest, RaggedReplicationsFoldPerColumn) {
   }
 }
 
+TEST(OnlineAggregatorTest, RaggedReplicationsFoldPerColumn) {
+  // The online aggregator walks each record's metrics and its own columns
+  // in step. Records that skip metrics, and metrics that first appear
+  // mid-stream and sort before or between the known names, must still fold
+  // each value into its own column: the same bits as a Summary and two
+  // P2Quantiles fed that column directly, in replication order.
+  Rng rng(78);
+  struct Column {
+    Summary summary;
+    P2Quantile p50{0.50};
+    P2Quantile p95{0.95};
+  };
+  std::map<std::string, Column> columns;
+  OnlineAggregator aggregator;
+  for (uint64_t i = 0; i < 301; ++i) {
+    ReplicationRecord record;
+    record.replication = i;
+    for (const char* name : {"b", "d", "f"}) {
+      if (rng.Chance(0.7)) {
+        record.metrics[name] = rng.Normal(0.0, 10.0);
+      }
+    }
+    if (i >= 120 && rng.Chance(0.6)) {
+      record.metrics["c"] = rng.Uniform(-1.0, 1.0);  // between b and d
+    }
+    if (i >= 200) {
+      record.metrics["a"] = rng.Exponential(2.0);  // before every name
+    }
+    if (i == 150) {
+      record.metrics["e_once"] = 42.0;
+    }
+    for (const auto& [name, value] : record.metrics) {
+      Column& column = columns[name];
+      column.summary.Add(value);
+      column.p50.Add(value);
+      column.p95.Add(value);
+    }
+    aggregator.OnRecord(record);
+  }
+
+  const std::vector<MetricAggregate> aggregates = aggregator.Aggregates();
+  ASSERT_EQ(aggregates.size(), columns.size());
+  size_t i = 0;
+  for (const auto& [name, column] : columns) {
+    SCOPED_TRACE(name);
+    MetricAggregate want = SummaryAggregate(name, column.summary);
+    want.p50 = column.p50.Value();
+    want.p95 = column.p95.Value();
+    ExpectSameAggregate(aggregates[i], want);
+    ++i;
+  }
+}
+
 TEST(ResultSinkTest, CsvHeadersAreStable) {
   // Downstream tooling keys on these exact headers; change them only
   // together with every CSV consumer (CI artifacts, figure scripts).
@@ -413,6 +469,76 @@ TEST(ResultSinkTest, EveryNaNFormatsAlike) {
   EXPECT_EQ(CsvNum(std::numeric_limits<double>::infinity()), "inf");
   EXPECT_EQ(CsvNum(-std::numeric_limits<double>::infinity()), "-inf");
   EXPECT_EQ(CsvNum(1.0 / 3.0), "0.333333333");
+}
+
+// printf's "%.9g" in the C locale: the format CsvNum's bytes are defined by.
+std::string PrintfG9(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+TEST(ResultSinkTest, CsvNumMatchesPrintfG9) {
+  // Edge cases: both zeros, subnormals, the extremes, the infinities, the
+  // switch between fixed and exponential notation, and values whose ninth
+  // significant digit rounds (up into a new decade, or to even on a tie).
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::nextafter(std::numeric_limits<double>::min(), 0.0),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::epsilon(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                1.0,
+                                -1.0,
+                                0.5,
+                                1.0 / 3.0,
+                                2.0 / 3.0,
+                                1e-4,
+                                9.9999999949e-5,
+                                9.99999999951e-5,
+                                1e-5,
+                                0.0001234567895,
+                                123456789.0,
+                                999999999.0,
+                                999999999.4,
+                                999999999.5,
+                                1e9,
+                                1234567890.0,
+                                9.999999995,
+                                9.9999999949999,
+                                0.1,
+                                0.125,
+                                1.0000000005,
+                                1.0000000015,
+                                2.5e-308,
+                                1e308,
+                                4503599627370496.5,
+                                9007199254740993.0};
+  // Fixed-seed random bit patterns cover every exponent; values in the
+  // ranges real metrics take (fractions, rates, counters near 1e7 with a
+  // small jitter) cover the notation switch densely.
+  Rng rng(916);
+  for (int i = 0; i < 200000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.NextU64()));
+  }
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.UniformInt(-12, 12)));
+    values.push_back(1e7 + static_cast<double>(rng.UniformInt(-5000, 5000)));
+  }
+  size_t compared = 0;
+  for (double v : values) {
+    if (std::isnan(v)) {
+      continue;  // NaN prints "nan" whatever its sign (EveryNaNFormatsAlike)
+    }
+    ASSERT_EQ(CsvNum(v), PrintfG9(v)) << "bits " << std::bit_cast<uint64_t>(v);
+    ++compared;
+  }
+  EXPECT_GT(compared, 399000u);
 }
 
 TEST(ResultSinkTest, SingleReplicationHasZeroCi) {
